@@ -123,19 +123,12 @@ def _versions() -> dict:
     import numpy
     import scipy
 
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     from . import __version__
 
     return {
         "mipt_qfi": __version__,
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "numba": numba_version,
         "python": sys.version.split()[0],
     }
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import pfaffian_kernel
+from ._kernels import pfaffian_numpy
 
 __all__ = ["pfaffian"]
 
@@ -25,4 +25,4 @@ def pfaffian(a: np.ndarray, atol: float = 1e-10) -> complex:
     scale = max(float(np.max(np.abs(a))), 1.0) if n else 1.0
     if asym > atol * scale:
         raise ValueError(f"matrix is not antisymmetric (|A + A^T| up to {asym:.2e})")
-    return pfaffian_kernel(a)
+    return pfaffian_numpy(a)

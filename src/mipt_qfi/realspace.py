@@ -18,7 +18,8 @@ U+U + V+V = I without changing the physical state.
 
 Wick contractions follow from the frame: <c+_i c_j> = (V V+)_ij,
 <c_i c_j> = (U V+)_ij, <c_i c+_j> = (U U+)_ij.  Spin-spin correlators
-<x_i x_j> reduce to Pfaffians of the Majorana string matrix, and the
+<x_i x_j> reduce to Pfaffians of the Majorana string matrix, all of them
+at once in O(N^4) by the nested real kernel `_kernels.xx_table`, and the
 witness QFI is F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j> (the mean
 <S_x> vanishes by fermion parity of the evolved state).
 """
@@ -184,17 +185,13 @@ def xx_correlator(state: GaussianState, i: int, j: int) -> complex:
     """<x_i x_j> via the Pfaffian of the Jordan-Wigner string block (0-based).
 
     The string i^d (b_i a_{i+1} b_{i+1} ... a_j), d = j - i, Wick-contracts
-    to i^d Pf of the corresponding 2d x 2d block of the Majorana matrix.
+    to i^d Pf of the contiguous block g[2i+1:2j+1, 2i+1:2j+1] of the
+    Majorana matrix (interleaved a_0, b_0, a_1, ...).
     """
     n = state.n_sites
     if not (0 <= i < j < n):
         raise ValueError(f"need 0 <= i < j < N, got i={i}, j={j}, N={n}")
-    g = majorana_correlations(state)
-    idx = [2 * i + 1]
-    for l in range(i + 1, j):
-        idx.extend((2 * l, 2 * l + 1))
-    idx.append(2 * j)
-    sub = g[np.ix_(idx, idx)]
+    sub = majorana_correlations(state)[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
     return (1j) ** (j - i) * pfaffian(sub)
 
 
@@ -202,16 +199,16 @@ def witness_qfi(state: GaussianState) -> float:
     """F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j>.
 
     <S_x> = 0 by fermion parity of the evolved state (checked against the
-    dense oracle in the tests); the pair sum runs in ascending (i, j)
-    order through the compiled string kernel.
+    dense oracle in the tests).  The table of <x_i x_j> comes from the
+    nested real string-Pfaffian kernel `xx_table`, which checks that the
+    Majorana matrix is finite and imaginary; a non-finite F raises
+    NumericalFault.
     """
-    g = majorana_correlations(state)
-    table = xx_table(g)
-    total = complex(np.sum(table))
-    value = state.n_sites + 2.0 * total.real
-    if abs(total.imag) > 1e-6 * max(1.0, abs(value)):
-        raise NumericalFault(f"correlator sum has imaginary part {total.imag:.2e}")
-    return float(value)
+    table = xx_table(majorana_correlations(state))
+    value = state.n_sites + 2.0 * float(np.sum(table))
+    if not math.isfinite(value):
+        raise NumericalFault(f"witness QFI is not finite ({value})")
+    return value
 
 
 def entanglement_depth(F: float, n_sites: int) -> int:

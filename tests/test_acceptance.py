@@ -22,15 +22,6 @@ def report(n: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # trigger any jit compilation outside the timed sections
-    st = init_state(4)
-    witness_qfi(st)
-    pfaffian(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    yield
-
-
 class TestCriterion1WitnessScaling:
     def test_witness_scaling_exponents(self, tmp_path):
         budget_s = 600.0

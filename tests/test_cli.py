@@ -31,6 +31,10 @@ FBAR = {
     "experiment": "fbar-sweep",
     "params": {"h": 0.6, "n_sites": 32, "gammas": [2.0, 2.8, 3.19, 3.4, 4.0]},
 }
+WITNESS = {
+    "experiment": "witness-scaling",
+    "params": {"sizes": [4, 6, 8], "gamma": 0.75, "measure_time": 0.5, "dt": 0.1},
+}
 ORACLE = {
     "experiment": "oracle-check",
     "params": {
@@ -107,6 +111,15 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
         result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 4
+        assert "numerical fault" in result.output
+
+    def test_nan_string_table_exits_with_numerical_fault(self, tmp_path, monkeypatch):
+        from mipt_qfi import realspace
+
+        monkeypatch.setattr(realspace, "xx_table", lambda g: np.full((g.shape[0] // 2,) * 2, np.nan))
+        cfg = write_config(tmp_path / "c.json", WITNESS)
+        result = CliRunner().invoke(main, ["witness-scaling", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
         assert "numerical fault" in result.output
 
     def test_tolerance_failure_exit_code(self, tmp_path):

@@ -1,66 +1,129 @@
-import os
-import subprocess
-import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from mipt_qfi import _kernels
+from mipt_qfi.errors import NumericalFault
+from mipt_qfi.pfaffian import pfaffian
 from mipt_qfi.realspace import evolve, init_state, majorana_correlations
 from mipt_qfi.spectral import ModelParams
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba backend not active")
+# (start kind, gamma, t); h = 0 throughout, so the ground start at t = 0 is
+# the GHZ-like F = N^2 ceiling and the vacuum starts have exactly singular
+# odd-distance strings
+STATES = [
+    ("hermitian-ground", 0.75, 0.0),
+    ("hermitian-ground", 0.75, 7.5),
+    ("hermitian-ground", 4.5, 7.5),
+    ("vacuum", 0.75, 2.0),
+    ("vacuum", 0.75, 60.0),
+]
 
 
-def random_antisymmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def majorana_matrix(n, kind, gamma, t, dt=0.05):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate h = 0 ground start
+        state = init_state(n, kind)
+    state = evolve(state, ModelParams(n, 0.0, gamma, "open"), dt, int(round(t / dt)))
+    return majorana_correlations(state)
+
+
+def pairwise_table(g):
+    """<x_i x_j> = i^d Pf(g_block), one pivoted complex Pfaffian per pair."""
+    n = g.shape[0] // 2
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            block = g[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
+            out[i, j] = ((1j) ** (j - i) * pfaffian(block)).real
+    return out
+
+
+def row_steps(g):
+    """Branch counts of the nested elimination, summed over the table rows."""
+    gamma = g.imag
+    last = gamma.shape[0] - 1
+    total = {"2x2": 0, "4x4": 0, "pivoted": 0}
+    for r in range(1, last, 2):
+        _, steps = _kernels.leading_pfaffians(gamma[r:last, r:last])
+        for key in total:
+            total[key] += steps[key]
+    return total
+
+
+def random_real_antisymmetric(n, seed):
+    x = np.random.default_rng(seed).normal(size=(n, n))
     return x - x.T
 
 
-@needs_numba
-class TestBackendAgreement:
+class TestNestedStringTable:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("kind,gamma,t", STATES)
+    def test_matches_pairwise_pivoted_pfaffians(self, n, kind, gamma, t):
+        g = majorana_matrix(n, kind, gamma, t)
+        np.testing.assert_allclose(_kernels.xx_table(g), pairwise_table(g), rtol=0, atol=1e-12)
+
+    def test_ghz_start_reaches_the_ceiling_by_2x2_steps(self):
+        g = majorana_matrix(16, "hermitian-ground", 0.75, 0.0)
+        table = _kernels.xx_table(g)
+        assert 16 + 2 * table.sum() == pytest.approx(16.0**2, rel=1e-12)
+        assert row_steps(g) == {"2x2": 15 * 16 // 2, "4x4": 0, "pivoted": 0}
+
+    @pytest.mark.parametrize("t", [2.0, 60.0])
+    def test_vacuum_start_takes_only_4x4_steps(self, t):
+        g = majorana_matrix(16, "vacuum", 0.75, t)
+        steps = row_steps(g)
+        assert steps["2x2"] == 0 and steps["pivoted"] == 0
+        # rows of length 2m take floor(m / 2) 4x4 steps
+        assert steps["4x4"] == sum(m // 2 for m in range(1, 16))
+        i, j = np.triu_indices(16, 1)
+        odd = (j - i) % 2 == 1
+        assert np.max(np.abs(_kernels.xx_table(g)[i[odd], j[odd]])) < 1e-14
+
+
+class TestLeadingPfaffians:
     @pytest.mark.parametrize("n", [2, 6, 12, 20])
-    def test_pfaffian_backends_match(self, n):
-        a = random_antisymmetric(n, n)
-        ref = _kernels.pfaffian_numpy(a)
-        jit = _kernels.pfaffian_numba(a.astype(np.complex128))
-        assert jit == pytest.approx(ref, rel=1e-12)
+    def test_generic_matrix_matches_pivoted(self, n):
+        a = random_real_antisymmetric(n, n)
+        pf, steps = _kernels.leading_pfaffians(a)
+        ref = [_kernels.pfaffian_numpy(a[:k, :k]).real for k in range(2, n + 1, 2)]
+        np.testing.assert_allclose(pf, ref, rtol=1e-10)
+        assert steps == {"2x2": n // 2, "4x4": 0, "pivoted": 0}
 
-    def test_string_tables_match_on_evolved_state(self):
-        p = ModelParams(10, 0.0, 1.5, "open")
-        state = evolve(init_state(10), p, 0.05, 30)
-        g = majorana_correlations(state)
-        a = _kernels.xx_table_numpy(g)
-        b = _kernels.xx_table_numba(np.ascontiguousarray(g))
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    def test_singular_2x2_pivot_takes_a_4x4_step(self):
+        a = random_real_antisymmetric(10, 3)
+        a[0, 1] = a[1, 0] = 0.0
+        pf, steps = _kernels.leading_pfaffians(a)
+        ref = [_kernels.pfaffian_numpy(a[:k, :k]).real for k in range(2, 11, 2)]
+        np.testing.assert_allclose(pf, ref, rtol=1e-10, atol=1e-15)
+        assert steps["4x4"] == 1 and steps["pivoted"] == 0
+
+    @pytest.mark.parametrize("lead", [0, 2])
+    def test_singular_2x2_and_4x4_blocks_fall_back_to_pivoting(self, lead):
+        # a regular 2x2 lead (or none), then a block whose leading 4x4 is zero
+        n = lead + 12
+        a = np.zeros((n, n))
+        a[lead:, lead:] = random_real_antisymmetric(12, 7)
+        a[lead : lead + 4, lead : lead + 4] = 0.0
+        if lead:
+            a[0, 1], a[1, 0] = 0.5, -0.5
+        pf, steps = _kernels.leading_pfaffians(a)
+        ref = [_kernels.pfaffian_numpy(a[:k, :k]).real for k in range(2, n + 1, 2)]
+        np.testing.assert_allclose(pf, ref, rtol=1e-10, atol=1e-15)
+        assert steps == {"2x2": lead // 2, "4x4": 0, "pivoted": n // 2 - lead // 2 - 2}
+        assert np.all(pf[lead // 2 : lead // 2 + 2] == 0.0)
 
 
-class TestEnvFlag:
-    def test_disable_flag_forces_numpy_backend(self):
-        env = dict(os.environ, MIPT_QFI_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from mipt_qfi._kernels import backend_name; print(backend_name())"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+class TestMajoranaMatrixChecks:
+    def test_real_part_raises(self):
+        g = majorana_matrix(8, "hermitian-ground", 0.75, 1.0)
+        g = g + 1e-3 * random_real_antisymmetric(16, 1)
+        with pytest.raises(NumericalFault, match="real part"):
+            _kernels.xx_table(g)
 
-    def test_numpy_backend_produces_same_witness_qfi(self):
-        code = (
-            "from mipt_qfi.realspace import evolve, init_state, witness_qfi\n"
-            "from mipt_qfi.spectral import ModelParams\n"
-            "p = ModelParams(8, 0.0, 0.75, 'open')\n"
-            "st = evolve(init_state(8), p, 0.05, 20)\n"
-            "print(repr(witness_qfi(st)))\n"
-        )
-        results = []
-        for disable in ("0", "1"):
-            env = dict(os.environ, MIPT_QFI_DISABLE_NUMBA=disable)
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-            )
-            results.append(float(out.stdout.strip()))
-        assert results[0] == pytest.approx(results[1], rel=1e-12)
+    def test_non_finite_entry_raises(self):
+        g = majorana_matrix(8, "vacuum", 0.75, 1.0)
+        g[3, 4], g[4, 3] = np.nan, np.nan
+        with pytest.raises(NumericalFault, match="non-finite"):
+            _kernels.xx_table(g)

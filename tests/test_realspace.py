@@ -215,15 +215,15 @@ class TestCostEnvelope:
     def test_large_chain_witness_fits_single_core_budget(self):
         import time
 
-        # warm any jit compilation on a small case first
-        witness_qfi(init_state(4))
+        # the nested O(N^4) string table takes well under a second here; the
+        # per-pair O(N^5) evaluation it replaced takes ~30 s
         p = ModelParams(128, 0.0, 0.75, "open")
         state = evolve(init_state(128), p, 0.05, 20)
         start = time.perf_counter()
         f = witness_qfi(state)
         elapsed = time.perf_counter() - start
         assert f > 0
-        assert elapsed < 60.0
+        assert elapsed < 5.0
 
 
 class TestEntanglementDepth:
