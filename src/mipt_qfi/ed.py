@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NumericalFault, QuadratureError
+from ._simpson import adaptive_simpson
+from .errors import NumericalFault
 from .spectral import ModelParams
 
 __all__ = [
@@ -208,14 +209,6 @@ def qfi_finite_difference(
     return rich
 
 
-def _simpson_weights(panels: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    nodes = np.linspace(0.0, t, 2 * panels + 1)
-    w = np.ones(2 * panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return nodes, w * (t / (2 * panels) / 3.0)
-
-
 def o_covariance_qfi(
     params: ModelParams,
     t: float,
@@ -248,29 +241,15 @@ def o_covariance_qfi(
     vecs_inv = np.linalg.inv(vecs)
     gen_tilde = vecs_inv @ gen @ vecs
 
-    def composite(panels: int) -> np.ndarray:
-        nodes, weights = _simpson_weights(panels, t)
+    def weighted_sum(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         ea = np.exp(-1j * np.outer(nodes, vals))  # rows: exp(-i w s_j)
         eb = np.exp(+1j * np.outer(nodes, vals))
         kernel = (ea * weights[:, None]).T @ eb  # sum_j w_j outer(a_j, b_j)
         return gen_tilde * kernel
 
-    panels = 16
-    prev = composite(panels)
-    achieved = np.inf
-    for _ in range(12):
-        panels *= 2
-        cur = composite(panels)
-        scale = max(np.max(np.abs(cur)), 1e-30)
-        achieved = np.max(np.abs(cur - prev)) / scale
-        if achieved <= rel_tol:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise QuadratureError("Sneddon quadrature stalled", achieved)
-
-    o_full = vecs @ prev @ vecs_inv
+    # the doubling cap bounds the (2 * panels + 1) x 2^N node arrays above
+    o_tilde = adaptive_simpson(weighted_sum, t, 16, 12, rel_tol, "Sneddon quadrature stalled")
+    o_full = vecs @ o_tilde @ vecs_inv
     psi = evolve_dense(params, t, initial).amplitudes
     o_psi = o_full @ psi
     return float(4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2))

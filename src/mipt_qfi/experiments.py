@@ -15,6 +15,7 @@ same config are byte-identical apart from the wall_time_s field.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -65,10 +66,26 @@ def _strictly_increasing(values, name: str) -> None:
         raise ConfigError(f"{name}: grid must be strictly increasing")
 
 
+def _reject_non_finite(value, path: str) -> None:
+    """Raise ConfigError on a NaN or +-Infinity anywhere below value.
+
+    Python's json reads these literals and the schema's "number" admits them.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config field '{path or '<root>'}': {value!r} is not a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}/{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}/{i}")
+
+
 def validate_config(config: dict) -> dict:
     """Schema validation plus cross-field grid checks; returns the config."""
     import jsonschema
 
+    _reject_non_finite(config, "")
     try:
         jsonschema.validate(config, _schema())
     except jsonschema.ValidationError as exc:

@@ -42,15 +42,14 @@ through the linear-in-t term, (gamma_c - gamma)^{-2} from below.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._entire import csinc, phi3
-from .errors import NumericalFault, QuadratureError
-from .quench import BogoliubovAmplitudes, evolve_amplitudes, ising_ground_amplitudes
+from ._simpson import adaptive_simpson
+from .errors import NumericalFault
+from .quench import BogoliubovAmplitudes, _ground_pair, evolve_amplitudes, ising_ground_amplitudes
 from .spectral import (
     Mode,
     ModelParams,
@@ -74,6 +73,9 @@ __all__ = [
 # modes whose decay contrast is below this are treated as non-exponential
 DEGENERATE_GAMMA_TOL = 1e-12
 
+# qfi_quench raises once its estimated round-off floor exceeds this share of F
+_ROUNDOFF_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class RMatrix:
@@ -90,7 +92,7 @@ class RMatrix:
 
 @dataclass(frozen=True)
 class ModeQfiCoefficient:
-    """Time-free long-time data of one mode.
+    """Time-free long-time data of one mode (arrays over the grid internally).
 
     Gamma is the Im <= 0 spectral branch; the mode's QFI approaches F_k
     with corrections decaying like exp(4 Gamma t).  Modes without decay
@@ -110,7 +112,7 @@ class ModeQfiCoefficient:
     degenerate: bool = False
 
 
-def _closed_form_entries(mode: Mode, spec: ModeSpectrum, t: float) -> tuple[complex, complex, complex]:
+def _closed_form_entries(mode: Mode, spec: ModeSpectrum, t):
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
     p = phi3(2.0 * eps * t)
     s2 = csinc(eps * t) ** 2
@@ -126,7 +128,7 @@ def _quadrature_entries(
     """Adaptive composite Simpson for int_0^t e^{-iMs} sigma_z e^{iMs} ds."""
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def weighted_sum(s: np.ndarray, weights: np.ndarray) -> np.ndarray:
         c = np.cos(eps * s)
         m = -1j * s * csinc(eps * s)
         e11, e12, e21, e22 = c + m * alpha, m * beta, m * beta, c - m * alpha
@@ -136,30 +138,10 @@ def _quadrature_entries(
         g12 = e11 * f12 - e12 * f22
         g21 = e21 * f11 - e22 * f21
         g22 = e21 * f12 - e22 * f22
-        return np.stack([g11, g12, g21, g22], axis=-1)
+        return weights @ np.stack([g11, g12, g21, g22], axis=-1)
 
-    def composite(panels: int) -> np.ndarray:
-        nodes = np.linspace(0.0, t, 2 * panels + 1)
-        w = np.ones(2 * panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        vals = integrand(nodes)
-        return (t / (2 * panels) / 3.0) * np.tensordot(w, vals, axes=(0, 0))
-
-    panels = 8
-    prev = composite(panels)
-    achieved = math.inf
-    for _ in range(16):
-        panels *= 2
-        cur = composite(panels)
-        scale = max(float(np.max(np.abs(cur))), 1e-30)
-        achieved = float(np.max(np.abs(cur - prev))) / scale
-        prev = cur
-        if achieved <= rel_tol:
-            break
-    else:
-        raise QuadratureError("R_k quadrature stalled", achieved)
-    return complex(prev[0]), complex(prev[1]), complex(prev[2])
+    a, b, c, _ = adaptive_simpson(weighted_sum, t, 8, 16, rel_tol, "R_k quadrature stalled")
+    return complex(a), complex(b), complex(c)
 
 
 def r_matrix(mode: Mode, spec: ModeSpectrum, t: float, method: str = "closed-form") -> RMatrix:
@@ -175,41 +157,50 @@ def r_matrix(mode: Mode, spec: ModeSpectrum, t: float, method: str = "closed-for
     return RMatrix(a, b, c, t)
 
 
-def _covariance(r: np.ndarray, w: np.ndarray) -> float:
-    """<R+R> - |<R>|^2 on the two-component state w (normalizes internally).
+def _off_diagonal(entries, u, v):
+    """<w_perp| R |w_hat> per mode for R = [[a, b], [c, -a]] and the pair w = (u, v).
 
-    Evaluated as |<w_perp| R |w_hat>|^2, exact for pure states in two
-    dimensions and stable when R carries large exponential factors.
+    Its squared modulus is <R+R> - |<R>|^2 on the normalized w, exact for
+    pure states in two dimensions and stable when R carries large
+    exponential factors.
     """
-    w = w / np.linalg.norm(w)
-    rw = r @ w
-    off = -w[1] * rw[0] + w[0] * rw[1]
-    return float(abs(off) ** 2)
+    a, b, c = entries
+    norm = np.sqrt(np.abs(u) ** 2 + np.abs(v) ** 2)
+    u, v = u / norm, v / norm
+    return -v * (a * u + b * v) + u * (c * u - a * v)
 
 
 def qfi_quench(params: ModelParams, t: float, amps0: BogoliubovAmplitudes | None = None) -> float:
     """QFI for estimating gamma at time t after the monitoring quench.
 
     Starts from the gamma = 0 ground state unless amps0 is given, evolves
-    each mode pair under M_k, and sums the per-mode covariance of R_k in
-    ascending-k order.  The additive constant in the generator cancels in
-    the covariance and never enters.
+    each mode pair under M_k, and sums the per-mode covariance of R_k.
+    The additive constant in the generator cancels in the covariance and
+    never enters.  Raises NumericalFault when round-off of the evolved
+    pairs, amplified by the growing entries of R_k, could exceed 1e-6 of
+    the result: the estimated floor is sum_k (2 |off_k| n_k + n_k^2) with
+    n_k = eps_mach * max(|A_k|, |B_k|, |C_k|).
     """
     if params.boundary != "periodic":
         raise ValueError("quench QFI is defined for the periodic chain")
     if amps0 is None:
         amps0 = ising_ground_amplitudes(params)
     amps = evolve_amplitudes(amps0, params, t)
-    total = 0.0
-    for i, k in enumerate(amps.k):
-        mode, spec = mode_system(params, float(k))
-        r = r_matrix(mode, spec, t).as_array()
-        w = np.array([amps.u[i], amps.v[i]])
-        total += _covariance(r, w)
-    return float(total)
+    mode, spec = mode_system(params, amps.k)
+    entries = _closed_form_entries(mode, spec, t)
+    off = np.abs(_off_diagonal(entries, amps.u, amps.v))
+    total = float(np.sum(off**2))
+    noise = np.finfo(float).eps * np.max(np.abs(entries), axis=0)
+    floor = float(np.sum(2.0 * off * noise + noise**2))
+    if floor > _ROUNDOFF_RTOL * total:
+        raise NumericalFault(
+            f"quench QFI at t = {t}: round-off floor {floor:.2e} exceeds "
+            f"{_ROUNDOFF_RTOL:g} of F = {total:.2e}"
+        )
+    return total
 
 
-def _tilde_entries(mode: Mode, spec: ModeSpectrum) -> tuple[complex, complex, complex]:
+def _tilde_entries(mode: Mode, spec: ModeSpectrum):
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
     denom = 4.0 * eps**3
     return (
@@ -219,88 +210,64 @@ def _tilde_entries(mode: Mode, spec: ModeSpectrum) -> tuple[complex, complex, co
     )
 
 
-def _assert_factorization(mode: Mode, spec: ModeSpectrum, tol: float = 1e-9) -> None:
+def _assert_factorization(mode: Mode, spec: ModeSpectrum, tildes, check, tol: float = 1e-9) -> None:
     """Check the exact split of R into linear + constant + growing + decaying.
 
     Fixes the signs of the tilde coefficients by identity rather than by
-    asymptotics, so the check is sharp at any probe time.
+    asymptotics, so the check is sharp at any probe time.  Runs on the
+    modes where check is True and names the worst one.
     """
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
-    ta, tb, tc = _tilde_entries(mode, spec)
-    for t in (0.7, 1.9):
-        a, b, c = _closed_form_entries(mode, spec, t)
-        ep, em = cmath.exp(2j * eps * t), cmath.exp(-2j * eps * t)
-        lin = alpha * alpha / (eps * eps) * t
-        linbc = alpha * beta / (eps * eps) * t
-        const = 0.5j * beta / (eps * eps)
-        scale = max(abs(a), abs(b), abs(c), 1.0)
-        resid = max(
-            abs(a - (lin + ta * (ep - em))),
-            abs(b - (linbc + const + tb * ep - tc * em)),
-            abs(c - (linbc - const + tc * ep - tb * em)),
+    ta, tb, tc = tildes
+    t = np.array([[0.7], [1.9]])
+    a, b, c = _closed_form_entries(mode, spec, t)
+    ep, em = np.exp(2j * eps * t), np.exp(-2j * eps * t)
+    lin = alpha / (eps * eps) * t
+    const = 0.5j * beta / (eps * eps)
+    resid = np.max(np.abs([
+        a - (alpha * lin + ta * (ep - em)),
+        b - (beta * lin + const + tb * ep - tc * em),
+        c - (beta * lin - const + tc * ep - tb * em),
+    ]), axis=0)
+    scale = np.maximum(np.max(np.abs([a, b, c]), axis=0), 1.0)
+    ratio = np.max(np.where(check, resid / scale, 0.0), axis=0)
+    worst = int(np.argmax(ratio))
+    if not ratio[worst] <= tol:
+        raise NumericalFault(
+            f"tilde factorization failed at k = {mode.k[worst]:.6f} "
+            f"(relative residual {ratio[worst]:.2e})"
         )
-        if resid > tol * scale:
-            raise NumericalFault(
-                f"tilde factorization failed at k = {mode.k:.6f} (residual {resid:.2e})"
-            )
 
 
-def _dominant_eigenvector(mode: Mode, spec: ModeSpectrum) -> np.ndarray:
-    """Normalized eigenvector of M_k for the larger-Im eigenvalue -eps."""
-    alpha, beta = mode.alpha, mode.beta
-    eps_t = -spec.epsilon
-    w = np.array([beta, eps_t - alpha])
-    w /= np.linalg.norm(w)
-    phase = w[0] / abs(w[0]) if abs(w[0]) > 1e-300 else 1.0
-    return w / phase
+def _linear_entries(mode: Mode):
+    """Entries of the linear-in-t part of R per unit time, (alpha / eps^2) M."""
+    lin = mode.alpha / (mode.alpha**2 + mode.beta**2)
+    return lin * mode.alpha, lin * mode.beta, lin * mode.beta
 
 
-def _quench_initial_pair(mode: Mode) -> np.ndarray:
-    """gamma = 0 ground eigenvector of this mode, the quench initial state."""
-    alpha0 = complex(mode.alpha.real)
-    beta = mode.beta
-    eps0 = -math.sqrt(abs(alpha0) ** 2 + beta * beta)
-    w = np.array([beta + 0j, eps0 - alpha0])
-    return w / np.linalg.norm(w)
-
-
-def _constant_part(mode: Mode) -> np.ndarray:
-    eps2 = mode.alpha**2 + mode.beta**2
-    c = 0.5j * mode.beta / eps2
-    return np.array([[0.0, c], [-c, 0.0]])
-
-
-def _linear_part(mode: Mode) -> np.ndarray:
-    eps2 = mode.alpha**2 + mode.beta**2
-    m = np.array([[mode.alpha, mode.beta], [mode.beta, -mode.alpha]])
-    return (mode.alpha / eps2) * m
-
-
-def _t2_coefficient(mode: Mode) -> float:
-    """Coefficient of the t^2 law of a real-eigenvalue mode.
-
-    The linear-in-t part of R dominates; the time-free coefficient is its
-    covariance on the quench initial state.
-    """
-    return _covariance(_linear_part(mode), _quench_initial_pair(mode))
-
-
-def _mode_coefficient(mode: Mode, spec: ModeSpectrum) -> ModeQfiCoefficient:
-    ta, tb, tc = _tilde_entries(mode, spec)
-    _assert_factorization(mode, spec)
-    w = _dominant_eigenvector(mode, spec)
+def _grid_coefficients(params: ModelParams) -> ModeQfiCoefficient:
+    """Long-time data of every grid mode, one array per field, ascending k."""
+    mode, spec = mode_system(params, momentum_grid(params.n_sites))
+    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+    degenerate = np.abs(spec.Gamma) <= DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(eps))
+    tildes = _tilde_entries(mode, spec)
+    _assert_factorization(mode, spec, tildes, ~degenerate)
+    # dominant eigenvector of M_k, for the larger-Im eigenvalue -eps; its
+    # first entry is real and positive since beta > 0
+    norm = np.sqrt(beta * beta + np.abs(-eps - alpha) ** 2)
+    wu, wv = beta / norm, (-eps - alpha) / norm
     # the growing term annihilates w, so the limit is set by the constant part
-    f_k = _covariance(_constant_part(mode), w)
+    const = 0.5j * beta / (alpha**2 + beta**2)
+    f_limit = np.abs(_off_diagonal((0.0, const, -const), wu, wv)) ** 2
+    # real-eigenvalue modes follow a t^2 law set by the linear part of R
+    # on the quench initial state
+    f_t2 = np.abs(_off_diagonal(_linear_entries(mode), *_ground_pair(mode))) ** 2
     return ModeQfiCoefficient(
-        k=mode.k,
-        F_k=f_k,
-        Gamma=spec.Gamma,
-        tilde_A=ta,
-        tilde_B=tb,
-        tilde_C=tc,
-        tilde_u=complex(w[0]),
-        tilde_v=complex(w[1]),
-        degenerate=False,
+        mode.k,
+        np.where(degenerate, f_t2, f_limit),
+        spec.Gamma,
+        *(np.where(degenerate, 0j, x) for x in (*tildes, wu, wv)),
+        degenerate,
     )
 
 
@@ -312,31 +279,13 @@ def mode_qfi_coefficients(params: ModelParams) -> list[ModeQfiCoefficient]:
     the full QFI, approached as the exp(4 Gamma_k t) corrections die out.
     Real-eigenvalue modes are flagged degenerate (t^2 law instead).
     """
-    out = []
-    for k in momentum_grid(params.n_sites):
-        mode, spec = mode_system(params, float(k))
-        if abs(spec.Gamma) <= DEGENERATE_GAMMA_TOL * max(1.0, abs(spec.epsilon)):
-            out.append(
-                ModeQfiCoefficient(
-                    k=mode.k,
-                    F_k=_t2_coefficient(mode),
-                    Gamma=spec.Gamma,
-                    tilde_A=0j,
-                    tilde_B=0j,
-                    tilde_C=0j,
-                    tilde_u=0j,
-                    tilde_v=0j,
-                    degenerate=True,
-                )
-            )
-        else:
-            out.append(_mode_coefficient(mode, spec))
-    return out
+    columns = (x.tolist() for x in vars(_grid_coefficients(params)).values())
+    return [ModeQfiCoefficient(*row) for row in zip(*columns)]
 
 
 def fbar(params: ModelParams) -> float:
     """Auxiliary sum Fbar = sum_k F_k of the time-free mode coefficients."""
-    return float(sum(c.F_k for c in mode_qfi_coefficients(params)))
+    return float(np.sum(_grid_coefficients(params).F_k))
 
 
 def critical_mode_coefficient(h: float, gamma: float) -> float:
@@ -353,9 +302,5 @@ def critical_mode_coefficient(h: float, gamma: float) -> float:
     if gamma == gc:
         raise ValueError("coefficient diverges exactly at gamma_c")
     mode, spec = critical_mode_system(h, gamma)
-    w0 = _quench_initial_pair(mode)
-    if gamma < gc:
-        return _covariance(_linear_part(mode), w0)
-    ta, tb, tc = _tilde_entries(mode, spec)
-    r_plus = np.array([[ta, tb], [tc, -ta]])
-    return _covariance(r_plus, w0)
+    entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode, spec)
+    return float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._entire import csinc
-from .spectral import ModelParams, momentum_grid
+from .spectral import Mode, ModelParams, mode_system, momentum_grid
 
 __all__ = [
     "BogoliubovAmplitudes",
@@ -55,29 +55,28 @@ class BogoliubovAmplitudes:
         return BogoliubovAmplitudes(self.k, self.u / scale, self.v / scale)
 
 
-def _mode_matrices(params: ModelParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    alpha = -2.0 * np.cos(k) - 2.0 * params.h - 0.5j * params.gamma
-    beta = 2.0 * np.sin(k)
-    return alpha, beta
+def _ground_pair(mode: Mode) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized gamma = 0 ground eigenvector (u, v) of each block.
+
+    With gamma = 0 each M_k is real symmetric; the negative-eigenvalue
+    eigenvector is (beta, eps - alpha) up to normalization, which already
+    has u > 0 since beta > 0 for k in (0, pi).
+    """
+    alpha0 = np.real(mode.alpha)
+    eps = -np.sqrt(alpha0 * alpha0 + mode.beta * mode.beta)
+    u, v = mode.beta, eps - alpha0
+    scale = np.sqrt(u * u + v * v)
+    return u / scale, v / scale
 
 
 def ising_ground_amplitudes(params: ModelParams) -> BogoliubovAmplitudes:
-    """Ground state of the unmonitored chain, mode by mode.
-
-    For gamma = 0 each M_k is real symmetric; the negative-eigenvalue
-    eigenvector is (beta, eps - alpha) up to normalization, which already
-    has u > 0 since beta > 0 on the grid.
-    """
+    """Ground state of the unmonitored chain, mode by mode."""
     if params.boundary != "periodic":
         raise ValueError("momentum-space ground state needs periodic boundary")
     k = momentum_grid(params.n_sites)
-    alpha0 = -2.0 * np.cos(k) - 2.0 * params.h
-    beta = 2.0 * np.sin(k)
-    eps = -np.sqrt(alpha0 * alpha0 + beta * beta)
-    u = beta.astype(complex)
-    v = (eps - alpha0).astype(complex)
-    scale = np.sqrt(np.abs(u) ** 2 + np.abs(v) ** 2)
-    return BogoliubovAmplitudes(k, u / scale, v / scale)
+    mode, _ = mode_system(params, k)
+    u, v = _ground_pair(mode)
+    return BogoliubovAmplitudes(k, u.astype(complex), v.astype(complex))
 
 
 def evolve_amplitudes(
@@ -86,8 +85,8 @@ def evolve_amplitudes(
     """Apply exp(-i M_k t) to every mode pair; output is unnormalized."""
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    alpha, beta = _mode_matrices(params, amps.k)
-    eps = np.sqrt(alpha * alpha + beta * beta)  # any branch: used evenly below
+    mode, spec = mode_system(params, amps.k)
+    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon  # eps enters evenly below
     c = np.cos(eps * t)
     s = -1j * t * csinc(eps * t)
     u = c * amps.u + s * (alpha * amps.u + beta * amps.v)

@@ -19,7 +19,6 @@ All functions are pure; nothing here touches I/O or global state.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,25 +73,28 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Mode:
-    """Entries of the 2x2 block M_k = [[alpha, beta], [beta, -alpha]]."""
+    """Entries of the 2x2 block M_k = [[alpha, beta], [beta, -alpha]].
 
-    k: float
-    alpha: complex
-    beta: float
+    Scalars for one momentum, arrays over the momenta of an array call.
+    """
+
+    k: float | np.ndarray
+    alpha: complex | np.ndarray
+    beta: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class ModeSpectrum:
     """Chosen eigenvalue branch of M_k: eps = E + i*Gamma, Gamma <= 0."""
 
-    epsilon: complex
+    epsilon: complex | np.ndarray
 
     @property
-    def E(self) -> float:
+    def E(self):
         return self.epsilon.real
 
     @property
-    def Gamma(self) -> float:
+    def Gamma(self):
         return self.epsilon.imag
 
 
@@ -109,23 +111,32 @@ def momentum_grid(n_sites: int) -> np.ndarray:
     return (2 * n - 1) * np.pi / n_sites
 
 
-def _branch_eigenvalue(alpha: complex, beta: float) -> complex:
-    """Square root of alpha^2 + beta^2 with Gamma <= 0, and E <= 0 on ties."""
-    eps = cmath.sqrt(alpha * alpha + beta * beta)
-    if eps.imag > 0.0:
-        eps = -eps
-    elif eps.imag == 0.0 and eps.real > 0.0:
-        eps = -eps
-    return eps
+def _branch_eigenvalue(alpha, beta):
+    """Square root of alpha^2 + beta^2 with Gamma <= 0, and E <= 0 on ties, elementwise."""
+    eps = np.sqrt(alpha * alpha + beta * beta)
+    flip = (eps.imag > 0.0) | ((eps.imag == 0.0) & (eps.real > 0.0))
+    return np.where(flip, -eps, eps)
 
 
-def mode_system(params: ModelParams, k: float) -> tuple[Mode, ModeSpectrum]:
-    """Block entries and chosen eigenvalue branch at momentum k in (0, pi)."""
-    if not 0.0 < k < np.pi:
+def mode_system(params: ModelParams, k) -> tuple[Mode, ModeSpectrum]:
+    """Block entries and chosen eigenvalue branch at momentum k in (0, pi).
+
+    k may be a float or an array of momenta; an array gives a Mode and a
+    ModeSpectrum whose fields are arrays of the same shape.
+    """
+    ks = np.asarray(k, dtype=float)
+    if not np.all((ks > 0.0) & (ks < np.pi)):
         raise ValueError(f"momentum must lie in (0, pi), got {k}")
-    alpha = complex(-2.0 * math.cos(k) - 2.0 * params.h, -0.5 * params.gamma)
-    beta = 2.0 * math.sin(k)
-    return Mode(k, alpha, beta), ModeSpectrum(_branch_eigenvalue(alpha, beta))
+    # filled in place so that gamma = 0 keeps the -0.0 imaginary part of
+    # complex(x, -0.5 * gamma)
+    alpha = np.empty(ks.shape, dtype=complex)
+    alpha.real = -2.0 * np.cos(ks) - 2.0 * params.h
+    alpha.imag = -0.5 * params.gamma
+    beta = 2.0 * np.sin(ks)
+    eps = _branch_eigenvalue(alpha, beta)
+    if ks.ndim == 0:
+        return Mode(float(ks), complex(alpha), float(beta)), ModeSpectrum(complex(eps))
+    return Mode(ks, alpha, beta), ModeSpectrum(eps)
 
 
 def critical_gamma(h: float) -> float:
@@ -152,7 +163,7 @@ def critical_mode_system(h: float, gamma: float) -> tuple[Mode, ModeSpectrum]:
     kc = critical_momentum(h)
     alpha = complex(0.0, -0.5 * gamma)
     beta = 2.0 * math.sqrt(1.0 - h * h)
-    return Mode(kc, alpha, beta), ModeSpectrum(_branch_eigenvalue(alpha, beta))
+    return Mode(kc, alpha, beta), ModeSpectrum(complex(_branch_eigenvalue(alpha, beta)))
 
 
 def gap_character(params: ModelParams, atol: float = 1e-9) -> str:
@@ -171,8 +182,5 @@ def gap_character(params: ModelParams, atol: float = 1e-9) -> str:
 def spectrum_table(params: ModelParams) -> np.ndarray:
     """(N/2, 3) array of rows (k, E_k, Gamma_k) over the momentum grid."""
     ks = momentum_grid(params.n_sites)
-    out = np.empty((ks.size, 3))
-    for i, k in enumerate(ks):
-        _, spec = mode_system(params, float(k))
-        out[i] = (k, spec.E, spec.Gamma)
-    return out
+    _, spec = mode_system(params, ks)
+    return np.column_stack([ks, spec.E, spec.Gamma])

@@ -81,6 +81,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="h"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({**SPECTRUM, "params": {**SPECTRUM["params"], "h": float("nan")}}, "params/h"),
+            ({**QUENCH, "params": {**QUENCH["params"], "gamma": float("inf")}}, "params/gamma"),
+            ({**QUENCH, "params": {**QUENCH["params"], "times": [0.1, 0.2, float("inf")]}}, "params/times/2"),
+            ({**SPECTRUM, "params": {**SPECTRUM["params"], "gamma": float("inf")}}, "params/gamma"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, payload, field):
+        # json writes and reads the NaN / Infinity literals
+        cfg = write_config(tmp_path / "c.json", payload)
+        result = CliRunner().invoke(main, [payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"'{field}'" in result.output
+
 
 class TestCliContract:
     def test_config_error_exit_code(self, tmp_path):

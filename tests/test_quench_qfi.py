@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mipt_qfi import qfi
 from mipt_qfi.ed import dense_ground_state, qfi_finite_difference
+from mipt_qfi.errors import NumericalFault
 from mipt_qfi.qfi import (
     critical_mode_coefficient,
     fbar,
@@ -14,7 +16,9 @@ from mipt_qfi.spectral import (
     critical_gamma,
     critical_mode_system,
     mode_system,
+    momentum_grid,
 )
+from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 
 
 class TestRMatrix:
@@ -87,6 +91,29 @@ class TestQuenchQfi:
         with pytest.raises(ValueError):
             qfi_quench(ModelParams(8, 0.3, 1.0, "open"), 1.0)
 
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("h", [-0.5, 0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 4.0])
+    def test_equals_ascending_sum_of_per_mode_covariances(self, n, h, gamma):
+        # h = 0, gamma = 4 puts the exceptional point eps = 0 on k = pi/2
+        p = ModelParams(n, h, gamma)
+        for t in (0.7, 2.5):
+            amps = evolve_amplitudes(ising_ground_amplitudes(p), p, t)
+            expected = 0.0
+            for i, k in enumerate(amps.k):
+                r = r_matrix(*mode_system(p, float(k)), t).as_array()
+                w = np.array([amps.u[i], amps.v[i]])
+                w = w / np.linalg.norm(w)
+                rw = r @ w
+                expected += abs(-w[1] * rw[0] + w[0] * rw[1]) ** 2
+            assert qfi_quench(p, t) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_raises_beyond_roundoff_floor(self):
+        # above gamma_c the plateau is fbar = 0.054; round-off of the evolved
+        # pairs, amplified by the growing R+ term, used to give 8.1e6 here
+        with pytest.raises(NumericalFault, match="round-off"):
+            qfi_quench(ModelParams(16, 0.3, 6.0), 8.0)
+
 
 class TestModeCoefficients:
     def test_limit_matches_full_qfi_above_transition(self):
@@ -128,6 +155,19 @@ class TestModeCoefficients:
             assert ca.tilde_A == cb.tilde_A
             assert ca.tilde_B == cb.tilde_B
             assert ca.tilde_C == cb.tilde_C
+
+    def test_corrupted_tilde_coefficient_raises(self, monkeypatch):
+        p = ModelParams(16, 0.3, 2.0)
+        k_bad = momentum_grid(16)[5]
+        clean = qfi._tilde_entries
+
+        def corrupted(mode, spec):
+            ta, tb, tc = clean(mode, spec)
+            return ta, np.where(mode.k == k_bad, tb * (1.0 + 1e-6), tb), tc
+
+        monkeypatch.setattr(qfi, "_tilde_entries", corrupted)
+        with pytest.raises(NumericalFault, match=f"k = {k_bad:.6f}"):
+            mode_qfi_coefficients(p)
 
     def test_growing_entry_reconstructs_closed_form(self):
         # At e^{2 i eps t} + (linear and decaying pieces) must reproduce

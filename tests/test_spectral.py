@@ -68,12 +68,27 @@ class TestModeSystem:
             with pytest.raises(ValueError):
                 mode_system(p, k)
 
-    @pytest.mark.parametrize("h", [-0.7, 0.0, 0.45])
+    # this field puts k_c exactly on a grid momentum: Re(alpha) = 0 there
+    H_KC_ON_GRID = float(-np.cos(momentum_grid(64)[20]))
+
+    @pytest.mark.parametrize("h", [-0.7, 0.0, 0.45, H_KC_ON_GRID])
     @pytest.mark.parametrize("gamma", [0.0, 1.3, 5.0])
     def test_eigenvalue_identity_on_grid(self, h, gamma):
         p = ModelParams(64, h, gamma)
-        for k in momentum_grid(64):
+        ks = momentum_grid(64)
+        modes, specs = mode_system(p, ks)
+        on_kc = modes.alpha.real == 0.0
+        assert on_kc.any() == (h == self.H_KC_ON_GRID)
+        if gamma < critical_gamma(h):
+            assert np.all(specs.Gamma[on_kc] == 0.0)
+        assert np.all(specs.Gamma <= 0.0)
+        assert np.all(specs.E[specs.Gamma == 0.0] <= 0.0)
+        for i, k in enumerate(ks):
             mode, spec = mode_system(p, float(k))
+            assert (mode.k, mode.alpha, mode.beta) == (modes.k[i], modes.alpha[i], modes.beta[i])
+            assert spec.epsilon == specs.epsilon[i]
+            assert np.signbit([spec.E, spec.Gamma]).tolist() == np.signbit(
+                [specs.E[i], specs.Gamma[i]]).tolist()
             lhs = spec.epsilon**2
             rhs = mode.alpha**2 + mode.beta**2
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
