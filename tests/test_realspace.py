@@ -1,3 +1,5 @@
+import math
+import time
 import warnings
 
 import numpy as np
@@ -26,6 +28,36 @@ from mipt_qfi.spectral import ModelParams
 def evolved(n, gamma, t, dt=0.05, kind="vacuum", h0=0.0):
     p = ModelParams(n, 0.0, gamma, "open")
     return evolve(init_state(n, kind, h=h0), p, dt, int(round(t / dt)))
+
+
+def quiet_init(n, kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return init_state(n, kind)
+
+
+def per_step_evolution(state, params, dt, n_steps):
+    """Reference path: one exact exponential step of size dt and one QR per step."""
+    step = sla.expm(-1j * dt * _kernel(params))
+    w = state.frame()
+    for _ in range(n_steps):
+        w, _ = np.linalg.qr(step @ w)
+    n = state.n_sites
+    return GaussianState(w[:n], w[n:])
+
+
+@pytest.fixture
+def qr_frames(monkeypatch):
+    """Record every frame `evolve` hands to numpy's QR."""
+    frames = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        frames.append(a.copy())
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return frames
 
 
 class TestPfaffian:
@@ -138,6 +170,68 @@ class TestEvolve:
             evolve(init_state(8), ModelParams(6, 0.0, 1.0, "open"), 0.05, 10)
 
 
+class TestChunkedEvolve:
+    def test_zero_steps_return_a_copy_without_qr(self, qr_frames):
+        state = init_state(6, "hermitian-ground", h=0.4)
+        out = evolve(state, ModelParams(6, 0.0, 0.0, "open"), 0.05, 0)
+        assert qr_frames == []
+        assert out.U is not state.U and out.V is not state.V
+        np.testing.assert_array_equal(out.frame(), state.frame())
+
+    @pytest.mark.parametrize("n_steps", [-1, 2.5, 3.0, "4"])
+    def test_rejects_negative_or_non_integer_step_count(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            evolve(init_state(6), ModelParams(6, 0.0, 1.0, "open"), 0.05, n_steps)
+
+    def test_zero_rate_evolves_in_one_chunk(self, qr_frames):
+        state = evolve(quiet_init(8, "hermitian-ground"), ModelParams(8, 0.0, 0.0, "open"), 0.01, 7200)
+        assert len(qr_frames) == 1
+        assert state.orthonormality_defect() < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.75, 4.5])
+    def test_chunk_count_bounds_frame_condition(self, gamma, qr_frames):
+        state = evolve(init_state(8), ModelParams(8, 0.0, gamma, "open"), 0.05, 1200)
+        assert len(qr_frames) == math.ceil(gamma * 60.0 / math.log(1e4))
+        assert max(np.linalg.cond(w) for w in qr_frames) <= 1e4
+        assert state.orthonormality_defect() < 1e-12
+
+    def test_rank_collapse_raises(self):
+        frame = init_state(8, "hermitian-ground", h=0.5).frame()
+        frame[:, 1] = frame[:, 0]
+        state = GaussianState(frame[:8], frame[8:])
+        with pytest.raises(NumericalFault, match="numerical rank"):
+            evolve(state, ModelParams(8, 0.0, 0.75, "open"), 0.05, 10)
+
+    @pytest.mark.parametrize("kind", ["vacuum", "hermitian-ground"])
+    @pytest.mark.parametrize("gamma", [0.3, 2.0])
+    def test_matches_high_precision_evolution(self, kind, gamma):
+        mp = pytest.importorskip("mpmath")
+        n, t, pieces = 8, 60.0, 20
+        p = ModelParams(n, 0.0, gamma, "open")
+        start = quiet_init(n, kind)
+        with mp.workdps(50):
+            step = mp.expm(mp.mpc(0, -t / pieces) * mp.matrix(_kernel(p).tolist()))
+            w = mp.matrix(start.frame().tolist())
+            for _ in range(pieces):
+                w, _ = mp.qr(step * w, mode="skinny")
+            w = np.array(w.tolist(), dtype=complex)
+        reference = majorana_correlations(GaussianState(w[:n], w[n:]))
+        got = majorana_correlations(evolve(start, p, 0.05, 1200))
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, kind, t, dt",
+        [(32, "vacuum", 72.0, 0.01), (64, "hermitian-ground", 9.0, 0.05)],
+    )
+    def test_matches_per_step_evolution_at_witness_shapes(self, n, kind, t, dt):
+        p = ModelParams(n, 0.0, 0.75, "open")
+        start = quiet_init(n, kind)
+        n_steps = int(round(t / dt))
+        got = majorana_correlations(evolve(start, p, dt, n_steps))
+        want = majorana_correlations(per_step_evolution(start, p, dt, n_steps))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestCorrelators:
     def test_vacuum_xx_vanishes(self):
         st_ = init_state(6)
@@ -213,8 +307,6 @@ class TestWitnessQfi:
 
 class TestCostEnvelope:
     def test_large_chain_witness_fits_single_core_budget(self):
-        import time
-
         # the nested O(N^4) string table takes well under a second here; the
         # per-pair O(N^5) evaluation it replaced takes ~30 s
         p = ModelParams(128, 0.0, 0.75, "open")
@@ -224,6 +316,17 @@ class TestCostEnvelope:
         elapsed = time.perf_counter() - start
         assert f > 0
         assert elapsed < 5.0
+
+    def test_long_frame_evolution_fits_budget(self):
+        # a few chunked exponentials take well under a second here; one
+        # exponential step and QR per dt takes 10-22 s
+        p = ModelParams(256, 0.0, 0.75, "open")
+        state = init_state(256)
+        start = time.perf_counter()
+        state = evolve(state, p, 0.05, 150)
+        elapsed = time.perf_counter() - start
+        assert state.orthonormality_defect() < 1e-12
+        assert elapsed < 3.0
 
 
 class TestEntanglementDepth:
