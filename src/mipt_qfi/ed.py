@@ -6,6 +6,18 @@ monitored number operator is n_i = (1 + s^z_i)/2, and the no-click
 evolution is the normalized action of exp(-i H_eff t) with
 H_eff = H - (i gamma / 2) sum_i n_i.
 
+Bit convention: site i of basis state x is bit N-1-i of x (site 0 is the
+most significant bit), and bit 0 means s^z_i = +1, i.e. n_i = 1.  So s^z
+and n_i are diagonal, s^x_i sends x to x ^ (1 << (N-1-i)), and every
+operator is built or applied from these bit operations alone.
+
+Parity sectors: every term of H_eff conserves the fermion parity
+(-1)^(sum_i n_i), since an xx bond flips two bits and s^z, n_i are
+diagonal; both QFI generators are diagonal too.  Evolution and the
+generator quadrature therefore run on each parity sector (2^(N-1) states)
+in which the initial state has weight; a sector without weight is never
+touched and stays exactly zero.
+
 The two QFI routes implemented here (central finite differences of the
 normalized state, and the covariance of the time-integrated generator
 built by adaptive Simpson quadrature) are deliberately independent of
@@ -42,9 +54,6 @@ __all__ = [
 MAX_DENSE_SITES = 12
 MAX_QUADRATURE_SITES = 10
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass
 class DenseState:
@@ -63,72 +72,64 @@ class DenseState:
         return DenseState(self.amplitudes / np.linalg.norm(self.amplitudes), self.n_sites)
 
 
-def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for j in range(n):
-        out = np.kron(out, op if j == site else np.eye(2, dtype=complex))
+def _site_mask(n: int, site: int) -> int:
+    """The bit of a basis index that holds `site`; s^x_site flips it."""
+    return 1 << (n - 1 - site)
+
+
+@lru_cache(maxsize=4)
+def _site_bits(n: int) -> np.ndarray:
+    """(2^n, n) table: entry [x, i] is site i's bit of x, 0 for s^z_i = +1."""
+    masks = np.array([_site_mask(n, i) for i in range(n)])
+    bits = ((np.arange(2**n)[:, None] & masks) != 0).astype(int)
+    bits.setflags(write=False)
+    return bits
+
+
+def _occupations(n: int) -> np.ndarray:
+    """sum_i n_i of every basis state."""
+    return n - _site_bits(n).sum(axis=1)
+
+
+def _parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending basis indices of the even and of the odd fermion-parity sector."""
+    odd = _occupations(n) % 2 == 1
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def _occupied_sectors(state: DenseState) -> list[np.ndarray]:
+    """The parity sectors in which state has non-zero weight."""
+    return [rows for rows in _parity_sectors(state.n_sites) if np.any(state.amplitudes[rows])]
+
+
+def _generator(params: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """H_eff on the ascending basis states `rows`, the full space or one parity sector."""
+    n = params.n_sites
+    occupied = _occupations(n)[rows]
+    out = np.diag(-params.h * (2 * occupied - n) - 0.5j * params.gamma * occupied)
+    cols = np.arange(rows.size)
+    bonds = n if params.boundary == "periodic" else n - 1
+    for i in range(bonds):
+        flip = _site_mask(n, i) ^ _site_mask(n, (i + 1) % n)
+        out[np.searchsorted(rows, rows ^ flip), cols] -= 1.0
     return out
-
-
-@lru_cache(maxsize=4)
-def _sx_total(n: int) -> np.ndarray:
-    """S_x = (1/2) sum_i s^x_i."""
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        acc += _site_operator(_SX, i, n)
-    return 0.5 * acc
-
-
-@lru_cache(maxsize=4)
-def _number_total(n: int) -> np.ndarray:
-    """sum_i n_i with n_i = (1 + s^z_i)/2."""
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        acc += 0.5 * (np.eye(2**n, dtype=complex) + _site_operator(_SZ, i, n))
-    return acc
-
-
-@lru_cache(maxsize=4)
-def _sz_total(n: int) -> np.ndarray:
-    acc = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        acc += _site_operator(_SZ, i, n)
-    return acc
-
-
-def _xx_bond(i: int, j: int, n: int) -> np.ndarray:
-    return _site_operator(_SX, i, n) @ _site_operator(_SX, j, n)
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Hermitian part: -sum_i s^x_i s^x_{i+1} - h sum_i s^z_i."""
-    n = params.n_sites
-    h_mat = np.zeros((2**n, 2**n), dtype=complex)
-    bonds = n if params.boundary == "periodic" else n - 1
-    for i in range(bonds):
-        h_mat -= _xx_bond(i, (i + 1) % n, n)
-    h_mat -= params.h * _sz_total(n)
-    return h_mat
+    return _generator(params.with_gamma(0.0), np.arange(2**params.n_sites))
 
 
 def build_h_eff(params: ModelParams) -> np.ndarray:
     """Non-Hermitian no-click generator H - (i gamma / 2) sum_i n_i."""
-    return build_hamiltonian(params) - 0.5j * params.gamma * _number_total(params.n_sites)
+    return _generator(params, np.arange(2**params.n_sites))
 
 
 def dense_vacuum(n_sites: int) -> DenseState:
     """Product state with every monitored number n_i = 0."""
     amps = np.zeros(2**n_sites, dtype=complex)
-    amps[-1] = 1.0  # all s^z = -1 under the bit convention below
+    amps[-1] = 1.0  # all s^z = -1 under the bit convention above
     return DenseState(amps, n_sites)
-
-
-def _basis_parity(n: int) -> np.ndarray:
-    """Fermion parity (+1/-1) of each basis state: even/odd occupied count."""
-    idx = np.arange(2**n)
-    # bit = 0 means s^z = +1, i.e. occupied (n_i = 1)
-    occupied = n - np.array([bin(i).count("1") for i in idx])
-    return np.where(occupied % 2 == 0, 1, -1)
 
 
 def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
@@ -138,25 +139,24 @@ def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
     matching the anti-periodic momentum-grid construction; for the open
     chain the global ground state is returned.
     """
-    hermitian = build_hamiltonian(params.with_gamma(0.0))
     n = params.n_sites
     if params.boundary == "periodic":
-        mask = _basis_parity(n) == 1
-        sub = hermitian[np.ix_(mask, mask)]
-        vals, vecs = np.linalg.eigh(sub)
+        even, _ = _parity_sectors(n)
+        vals, vecs = np.linalg.eigh(_generator(params.with_gamma(0.0), even))
         amps = np.zeros(2**n, dtype=complex)
-        amps[mask] = vecs[:, 0]
+        amps[even] = vecs[:, 0]
         return DenseState(amps, n), float(vals[0])
-    vals, vecs = np.linalg.eigh(hermitian)
+    vals, vecs = np.linalg.eigh(build_hamiltonian(params))
     return DenseState(vecs[:, 0].astype(complex), n), float(vals[0])
 
 
 def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseState:
-    """Normalized exp(-i H_eff t) |initial>."""
+    """Normalized exp(-i H_eff t) |initial>, one occupied parity sector at a time."""
     if initial.n_sites != params.n_sites:
         raise ValueError("state size does not match params")
-    h_eff = build_h_eff(params)
-    psi = sla.expm(-1j * t * h_eff) @ initial.amplitudes
+    psi = np.zeros(2**params.n_sites, dtype=complex)
+    for rows in _occupied_sectors(initial):
+        psi[rows] = sla.expm(-1j * t * _generator(params, rows)) @ initial.amplitudes[rows]
     norm = np.linalg.norm(psi)
     if norm == 0.0 or not np.isfinite(norm):
         raise NumericalFault(f"dense evolution lost normalization at t = {t}")
@@ -209,6 +209,28 @@ def qfi_finite_difference(
     return rich
 
 
+def _integrated_generator_times(
+    h_eff: np.ndarray, gen: np.ndarray, t: float, psi: np.ndarray, rel_tol: float
+) -> np.ndarray:
+    """O psi for O = int_0^t exp(-i H_eff s) diag(gen) exp(i H_eff s) ds on one sector."""
+    vals, vecs = np.linalg.eig(h_eff)
+    cond = np.linalg.cond(vecs)
+    if cond > 1e8:
+        raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
+    vecs_inv = np.linalg.inv(vecs)
+    gen_tilde = (vecs_inv * gen) @ vecs
+
+    def weighted_sum(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        ea = np.exp(-1j * np.outer(nodes, vals))  # rows: exp(-i w s_j)
+        eb = np.exp(+1j * np.outer(nodes, vals))
+        kernel = (ea * weights[:, None]).T @ eb  # sum_j w_j outer(a_j, b_j)
+        return gen_tilde * kernel
+
+    # the doubling cap bounds the (2 * panels + 1) x 2^(N-1) node arrays above
+    o_tilde = adaptive_simpson(weighted_sum, t, 16, 12, rel_tol, "Sneddon quadrature stalled")
+    return vecs @ (o_tilde @ (vecs_inv @ psi))
+
+
 def o_covariance_qfi(
     params: ModelParams,
     t: float,
@@ -221,67 +243,57 @@ def o_covariance_qfi(
     O = int_0^t exp(-i H_eff s) G exp(i H_eff s) ds with G the derivative
     of -i H_eff (G = -(1/2) sum_i n_i for the rate, +i sum_i s^z_i for the
     field).  The integral runs in the eigenbasis of H_eff through adaptive
-    composite Simpson; F = 4 (<O+O> - |<O>|^2) on the normalized state.
+    composite Simpson, on each parity sector the initial state occupies
+    (G and H_eff are block diagonal in them); F = 4 (<O+O> - |<O>|^2) on
+    the normalized state.
     """
     n = params.n_sites
     if n > MAX_QUADRATURE_SITES:
         raise ValueError(f"quadrature oracle capped at {MAX_QUADRATURE_SITES} sites")
+    occupied = _occupations(n)
     if wrt == "gamma":
-        gen = -0.5 * _number_total(n)
+        gen = -0.5 * occupied
     elif wrt == "h":
-        gen = 1j * _sz_total(n)
+        gen = 1j * (2 * occupied - n)
     else:
         raise ValueError(f"unknown parameter {wrt!r}")
 
-    h_eff = build_h_eff(params)
-    vals, vecs = np.linalg.eig(h_eff)
-    cond = np.linalg.cond(vecs)
-    if cond > 1e8:
-        raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
-    vecs_inv = np.linalg.inv(vecs)
-    gen_tilde = vecs_inv @ gen @ vecs
-
-    def weighted_sum(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        ea = np.exp(-1j * np.outer(nodes, vals))  # rows: exp(-i w s_j)
-        eb = np.exp(+1j * np.outer(nodes, vals))
-        kernel = (ea * weights[:, None]).T @ eb  # sum_j w_j outer(a_j, b_j)
-        return gen_tilde * kernel
-
-    # the doubling cap bounds the (2 * panels + 1) x 2^N node arrays above
-    o_tilde = adaptive_simpson(weighted_sum, t, 16, 12, rel_tol, "Sneddon quadrature stalled")
-    o_full = vecs @ o_tilde @ vecs_inv
     psi = evolve_dense(params, t, initial).amplitudes
-    o_psi = o_full @ psi
+    o_psi = np.zeros_like(psi)
+    for rows in _occupied_sectors(initial):
+        o_psi[rows] = _integrated_generator_times(
+            _generator(params, rows), gen[rows], t, psi[rows], rel_tol
+        )
     return float(4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2))
+
+
+def _sx_apply(state: DenseState) -> np.ndarray:
+    """S_x |psi> with S_x = (1/2) sum_i s^x_i."""
+    n = state.n_sites
+    idx = np.arange(2**n)
+    return 0.5 * sum(state.amplitudes[idx ^ _site_mask(n, i)] for i in range(n))
 
 
 def sx_variance_dense(state: DenseState) -> float:
     """<S_x^2> - <S_x>^2 by direct operator application."""
-    sx = _sx_total(state.n_sites)
     psi = state.amplitudes
-    sx_psi = sx @ psi
+    sx_psi = _sx_apply(state)
     mean = np.vdot(psi, sx_psi).real
     return float(np.vdot(sx_psi, sx_psi).real - mean**2)
 
 
 def sx_expectation(state: DenseState) -> float:
-    sx = _sx_total(state.n_sites)
-    return float(np.vdot(state.amplitudes, sx @ state.amplitudes).real)
+    return float(np.vdot(state.amplitudes, _sx_apply(state)).real)
 
 
 def occupation_profile(state: DenseState) -> np.ndarray:
     """<n_i> per site."""
-    n = state.n_sites
-    psi = state.amplitudes
-    out = np.empty(n)
-    for i in range(n):
-        op = 0.5 * (np.eye(2**n, dtype=complex) + _site_operator(_SZ, i, n))
-        out[i] = np.vdot(psi, op @ psi).real
-    return out
+    return np.abs(state.amplitudes) ** 2 @ (1 - _site_bits(state.n_sites))
 
 
 def xx_correlator_dense(state: DenseState, i: int, j: int) -> complex:
     """<s^x_i s^x_j> (0-based sites)."""
     n = state.n_sites
-    op = _xx_bond(i, j, n)
-    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
+    flip = _site_mask(n, i) ^ _site_mask(n, j)
+    psi = state.amplitudes
+    return complex(np.vdot(psi, psi[np.arange(2**n) ^ flip]))

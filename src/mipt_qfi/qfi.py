@@ -76,6 +76,10 @@ DEGENERATE_GAMMA_TOL = 1e-12
 # qfi_quench raises once its estimated round-off floor exceeds this share of F
 _ROUNDOFF_RTOL = 1e-6
 
+# |eps_k|^2 below this share of |alpha_k|^2 + beta_k^2 is round-off of an
+# exact zero: the grid mode sits on the exceptional point
+_EXCEPTIONAL_RTOL = 16.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class RMatrix:
@@ -249,6 +253,12 @@ def _grid_coefficients(params: ModelParams) -> ModeQfiCoefficient:
     """Long-time data of every grid mode, one array per field, ascending k."""
     mode, spec = mode_system(params, momentum_grid(params.n_sites))
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+    exceptional = np.abs(eps) ** 2 <= _EXCEPTIONAL_RTOL * (np.abs(alpha) ** 2 + beta * beta)
+    if np.any(exceptional):
+        raise NumericalFault(
+            f"exceptional point on the grid at k = {mode.k[np.argmax(exceptional)]:.6f}: "
+            f"gamma = gamma_c = {critical_gamma(params.h):.6g}, where the QFI plateau diverges"
+        )
     degenerate = np.abs(spec.Gamma) <= DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(eps))
     tildes = _tilde_entries(mode, spec)
     _assert_factorization(mode, spec, tildes, ~degenerate)
@@ -278,6 +288,8 @@ def mode_qfi_coefficients(params: ModelParams) -> list[ModeQfiCoefficient]:
     the mode's saturation value; sum F_k is then the late-time plateau of
     the full QFI, approached as the exp(4 Gamma_k t) corrections die out.
     Real-eigenvalue modes are flagged degenerate (t^2 law instead).
+    Raises NumericalFault when gamma = gamma_c puts the exceptional point
+    eps = 0 on a grid momentum, where the plateau diverges.
     """
     columns = (x.tolist() for x in vars(_grid_coefficients(params)).values())
     return [ModeQfiCoefficient(*row) for row in zip(*columns)]

@@ -1,8 +1,13 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mipt_qfi.ed import (
     DenseState,
+    build_h_eff,
     build_hamiltonian,
     dense_ground_state,
     dense_vacuum,
@@ -12,8 +17,62 @@ from mipt_qfi.ed import (
     qfi_finite_difference,
     sx_expectation,
     sx_variance_dense,
+    xx_correlator_dense,
 )
 from mipt_qfi.spectral import ModelParams
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def kron_site(op, site, n):
+    """op on one site of the Kronecker product (site 0 leftmost), identity elsewhere."""
+    out = np.array([[1.0 + 0j]])
+    for j in range(n):
+        out = np.kron(out, op if j == site else np.eye(2, dtype=complex))
+    return out
+
+
+def kron_operators(params):
+    """Reference H and H_eff, built term by term from Kronecker products."""
+    n = params.n_sites
+    h_mat = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n if params.boundary == "periodic" else n - 1):
+        h_mat -= kron_site(SX, i, n) @ kron_site(SX, (i + 1) % n, n)
+    eye = np.eye(2**n, dtype=complex)
+    h_mat -= params.h * sum(kron_site(SZ, i, n) for i in range(n))
+    number = sum(0.5 * (eye + kron_site(SZ, i, n)) for i in range(n))
+    return h_mat, h_mat - 0.5j * params.gamma * number
+
+
+def occupations(n):
+    """sum_i n_i of each basis state, bit 0 meaning n_i = 1."""
+    return np.array([n - bin(x).count("1") for x in range(2**n)])
+
+
+def parity_masks(n):
+    """Even and odd fermion parity of each basis state."""
+    occupied = occupations(n)
+    return occupied % 2 == 0, occupied % 2 == 1
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return DenseState(amps / np.linalg.norm(amps), n)
+
+
+@dataclasses.dataclass(frozen=True)
+class Chain:
+    """ModelParams without its even-N >= 4 rule: the operators hold at any N."""
+
+    n_sites: int
+    h: float
+    gamma: float
+    boundary: str
+
+    def with_gamma(self, gamma):
+        return dataclasses.replace(self, gamma=gamma)
 
 
 def ghz_x(n):
@@ -79,9 +138,9 @@ class TestQfiOracles:
         initial = dense_vacuum(4)
         h = build_hamiltonian(p)
         vals, vecs = np.linalg.eigh(h)
-        from mipt_qfi.ed import _sz_total
+        sz_total = np.diag(2.0 * occupations(4) - 4.0)
 
-        gen = vecs.conj().T @ (1j * _sz_total(4)) @ vecs
+        gen = vecs.conj().T @ (1j * sz_total) @ vecs
         diff = np.subtract.outer(vals, vals)
         with np.errstate(divide="ignore", invalid="ignore"):
             phase = np.where(
@@ -157,3 +216,90 @@ class TestGroundState:
         _, energy = dense_ground_state(p)
         vals = np.linalg.eigvalsh(build_hamiltonian(p))
         assert energy == pytest.approx(vals[0], rel=1e-12)
+
+
+class TestBitConvention:
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_operators_equal_kron_reference(self, n, boundary):
+        # N = 2 periodic counts its one bond twice; odd N wraps across parities
+        params = Chain(n, 0.3, 1.1, boundary)
+        h_ref, h_eff_ref = kron_operators(params)
+        np.testing.assert_array_equal(build_hamiltonian(params), h_ref)
+        np.testing.assert_array_equal(build_h_eff(params), h_eff_ref)
+
+    def test_observables_equal_kron_reference(self):
+        n = 6
+        st = random_state(n, 3)
+        psi = st.amplitudes
+        sx_psi = 0.5 * sum(kron_site(SX, i, n) for i in range(n)) @ psi
+        mean = np.vdot(psi, sx_psi).real
+        assert sx_expectation(st) == pytest.approx(mean, abs=1e-13)
+        assert sx_variance_dense(st) == pytest.approx(np.vdot(sx_psi, sx_psi).real - mean**2, abs=1e-13)
+        eye = np.eye(2**n, dtype=complex)
+        occupations = [np.vdot(psi, 0.5 * (eye + kron_site(SZ, i, n)) @ psi).real for i in range(n)]
+        np.testing.assert_allclose(occupation_profile(st), occupations, rtol=0, atol=1e-13)
+        for i in range(n):
+            assert xx_correlator_dense(st, i, i) == pytest.approx(1.0, abs=1e-13)
+            for j in range(n):
+                ref = np.vdot(psi, kron_site(SX, i, n) @ kron_site(SX, j, n) @ psi)
+                assert abs(xx_correlator_dense(st, i, j) - ref) <= 1e-13
+
+
+class TestParitySectors:
+    # periodic N = 6, h = 0.3, gamma = 2, t = 1.5
+    params = ModelParams(6, 0.3, 2.0)
+    t = 1.5
+
+    def test_h_eff_has_no_block_between_parities(self):
+        even, odd = parity_masks(6)
+        h_eff = build_h_eff(self.params)
+        assert np.all(h_eff[np.ix_(even, odd)] == 0)
+        assert np.all(h_eff[np.ix_(odd, even)] == 0)
+
+    def test_mixed_parity_evolution_matches_full_matrix(self):
+        initial = random_state(6, 5)
+        full = sla.expm(-1j * self.t * kron_operators(self.params)[1]) @ initial.amplitudes
+        full /= np.linalg.norm(full)
+        evolved = evolve_dense(self.params, self.t, initial).amplitudes
+        np.testing.assert_allclose(evolved, full, rtol=0, atol=1e-12)
+
+    def test_mixed_parity_qfi_matches_full_space_eigenbasis(self):
+        # F = 4 Var(O) with O = int_0^t e^{-i H_eff s} G e^{i H_eff s} ds in
+        # closed form over the full-space eigenbasis of H_eff, G = -(1/2) sum n_i
+        initial = random_state(6, 5)
+        _, h_eff = kron_operators(self.params)
+        vals, vecs = np.linalg.eig(h_eff)
+        vecs_inv = np.linalg.inv(vecs)
+        gen = vecs_inv @ np.diag(-0.5 * occupations(6)) @ vecs
+        diff = np.subtract.outer(vals, vals)
+        small = np.abs(diff) < 1e-12
+        phase = np.where(
+            small, self.t, (1.0 - np.exp(-1j * diff * self.t)) / (1j * np.where(small, 1.0, diff))
+        )
+        psi = sla.expm(-1j * self.t * h_eff) @ initial.amplitudes
+        psi /= np.linalg.norm(psi)
+        o_psi = vecs @ ((gen * phase) @ (vecs_inv @ psi))
+        expected = 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
+        assert o_covariance_qfi(self.params, self.t, initial) == pytest.approx(expected, rel=1e-9)
+        assert qfi_finite_difference(self.params, self.t, initial) == pytest.approx(expected, rel=1e-9)
+
+    def test_vacuum_start_leaves_odd_sector_exactly_zero(self):
+        _, odd = parity_masks(6)
+        evolved = evolve_dense(self.params, self.t, dense_vacuum(6)).amplitudes
+        assert np.all(evolved[odd] == 0)
+        assert np.linalg.norm(evolved) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestCostEnvelope:
+    def test_ten_site_oracle_fits_budget(self):
+        # parity-sector evolution and quadrature take ~3 s here; full-space
+        # exponentials of Kronecker-built operators took ~25 s
+        p = ModelParams(10, 0.3, 2.0)
+        start = time.perf_counter()
+        gs, _ = dense_ground_state(p)
+        f_fd = qfi_finite_difference(p, 1.0, gs)
+        f_cov = o_covariance_qfi(p, 1.0, gs)
+        elapsed = time.perf_counter() - start
+        assert f_fd == pytest.approx(f_cov, rel=1e-6)
+        assert elapsed < 10.0

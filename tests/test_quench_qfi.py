@@ -197,6 +197,23 @@ class TestFbar:
         vals = [fbar(ModelParams(64, h, float(g))) for g in gammas]
         assert gammas[int(np.argmax(vals))] == pytest.approx(gc, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_exceptional_point_on_the_grid_is_named(self, n):
+        # h = 0 puts k_c = pi/2 on the grid when N/2 is odd, and gamma = 4
+        # is gamma_c there; eps = 0 then holds up to round-off only
+        message = (
+            r"exceptional point on the grid at k = 1\.570796: "
+            r"gamma = gamma_c = 4, where the QFI plateau diverges"
+        )
+        p = ModelParams(n, 0.0, 4.0)
+        with pytest.raises(NumericalFault, match=message):
+            fbar(p)
+        with pytest.raises(NumericalFault, match=message):
+            mode_qfi_coefficients(p)
+
+    def test_exceptional_point_between_grid_momenta_stays_finite(self):
+        assert fbar(ModelParams(8, 0.0, 4.0)) == pytest.approx(0.10597, rel=1e-4)
+
     def test_density_converges_with_grid_refinement(self):
         h, gamma = 0.6, 1.6
         a = fbar(ModelParams(64, h, gamma)) / 64
