@@ -1,12 +1,11 @@
 """Command-line entry point: mipt-qfi <experiment> --config FILE [--out DIR].
 
 Exit codes: 0 success, 2 invalid config, 3 a cross-check exceeded its
-tolerance, 4 numerical fault.  MIPT_QFI_THREADS overrides --threads.
+tolerance, 4 numerical fault.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -19,17 +18,7 @@ EXIT_TOLERANCE = 3
 EXIT_NUMERICAL = 4
 
 
-def _resolve_threads(flag_value: int) -> int:
-    env = os.environ.get("MIPT_QFI_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"MIPT_QFI_THREADS must be an integer, got {env!r}")
-    return max(1, flag_value)
-
-
-def _execute(experiment: str, config_path: str, out: str | None, threads: int) -> None:
+def _execute(experiment: str, config_path: str, out: str | None) -> None:
     try:
         config = load_config(config_path)
         declared = config.get("experiment")
@@ -40,7 +29,7 @@ def _execute(experiment: str, config_path: str, out: str | None, threads: int) -
                 f"config declares experiment {declared!r} but the "
                 f"{experiment!r} subcommand was invoked"
             )
-        result = run_experiment(config, out_dir=out, threads=_resolve_threads(threads))
+        result = run_experiment(config, out_dir=out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -62,9 +51,8 @@ def _register(name: str) -> None:
     @main.command(name=name)
     @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
     @click.option("--out", default=None, type=click.Path(), help="output directory")
-    @click.option("--threads", default=1, show_default=True, help="worker threads for grid points")
-    def _cmd(config_path: str, out: str | None, threads: int, _name: str = name) -> None:
-        _execute(_name, config_path, out, threads)
+    def _cmd(config_path: str, out: str | None, _name: str = name) -> None:
+        _execute(_name, config_path, out)
 
     _cmd.__doc__ = f"Run the {name} experiment."
 

@@ -1,31 +1,32 @@
 """Experiment orchestration: validated configs in, CSV + JSON summary out.
 
 Each experiment maps a declarative JSON config onto one of the library
-pipelines, collects rows in the declared grid order (grid points may be
-evaluated concurrently, assembly is always sequential), and writes
+pipelines, evaluates the grid points in the declared order, and writes
 
     <out>/<experiment>.csv     fixed per-experiment header
     <out>/<experiment>.json    {config, results: {fits, checks}, versions,
                                 wall_time_s}
 
 All numbers are formatted with repr-exact precision, so reruns of the
-same config are byte-identical apart from the wall_time_s field.
+same config are byte-identical apart from the wall_time_s field.  A run
+whose rows or results hold a NaN or +-Infinity raises NumericalFault and
+writes nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ed
-from .errors import ConfigError, ToleranceFailure
+from .errors import ConfigError, NumericalFault, ToleranceFailure
 from .fitting import fit_exponential_rate, fit_power_law, stable_window_start
 from .qfi import critical_mode_coefficient, fbar, qfi_quench
 from .realspace import entanglement_depth, evolve, init_state, witness_qfi
@@ -33,19 +34,16 @@ from .spectral import ModelParams, critical_gamma, spectrum_table
 
 __all__ = ["EXPERIMENTS", "load_config", "validate_config", "run_experiment", "RunResult"]
 
-EXPERIMENTS = (
-    "spectrum",
-    "witness-scaling",
-    "quench-series",
-    "fbar-sweep",
-    "critical-exponent",
-    "oracle-check",
-)
 
+@functools.cache
+def _validator():
+    """The config-schema validator, checked against its metaschema once."""
+    import jsonschema
 
-def _schema() -> dict:
-    path = Path(__file__).resolve().parent / "config.schema.json"
-    return json.loads(path.read_text())
+    schema = json.loads((Path(__file__).resolve().parent / "config.schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_config(path: str | Path) -> dict:
@@ -66,31 +64,35 @@ def _strictly_increasing(values, name: str) -> None:
         raise ConfigError(f"{name}: grid must be strictly increasing")
 
 
-def _reject_non_finite(value, path: str) -> None:
-    """Raise ConfigError on a NaN or +-Infinity anywhere below value.
-
-    Python's json reads these literals and the schema's "number" admits them.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config field '{path or '<root>'}': {value!r} is not a finite number")
+def _first_non_finite(value, path: str = ""):
+    """(path, value) of the first NaN or +-Infinity below value, else None."""
+    if isinstance(value, (float, np.floating)):
+        return None if math.isfinite(value) else (path, value)
     if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{path}/{key}" if path else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, f"{path}/{i}")
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _first_non_finite(item, f"{path}/{key}" if path else str(key))
+        if found:
+            return found
+    return None
 
 
 def validate_config(config: dict) -> dict:
     """Schema validation plus cross-field grid checks; returns the config."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    _reject_non_finite(config, "")
-    try:
-        jsonschema.validate(config, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{path}': {exc.message}")
+    # Python's json reads NaN and Infinity, and the schema's "number" admits them
+    found = _first_non_finite(config)
+    if found:
+        raise ConfigError(f"config field '{found[0] or '<root>'}': {found[1]!r} is not a finite number")
+    error = best_match(_validator().iter_errors(config))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config field '{path}': {error.message}")
 
     exp = config["experiment"]
     params = config.get("params", {})
@@ -110,14 +112,13 @@ def validate_config(config: dict) -> dict:
         lo, hi = off.get("min", -6.0), off.get("max", -2.0)
         if lo >= hi:
             raise ConfigError("params/log_offsets: min must be below max")
+        gc = critical_gamma(params["h"])
+        # compare logs so that exp(max) cannot overflow
+        if hi >= math.log(gc):
+            raise ConfigError(f"params/log_offsets: max must be below log(gamma_c) = {math.log(gc)!r}")
+        if not gc - math.exp(lo) < gc < gc + math.exp(lo):
+            raise ConfigError(f"params/log_offsets: min = {lo!r} leaves gamma = gamma_c in double precision")
     return config
-
-
-def _pmap(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x) -> str:
@@ -153,7 +154,7 @@ def _versions() -> dict:
 # ---------------------------------------------------------------- spectrum
 
 
-def _run_spectrum(params: dict, threads: int):
+def _run_spectrum(params: dict):
     p = ModelParams(params["n_sites"], params["h"], params["gamma"], "periodic")
     rows = [tuple(row) for row in spectrum_table(p)]
     return "k,E,Gamma", rows, [], []
@@ -176,7 +177,7 @@ def _witness_series(n: int, gamma: float, times: list[float], dt: float, kind: s
     return out
 
 
-def _run_witness(params: dict, threads: int):
+def _run_witness(params: dict):
     sizes = list(params["sizes"])
     gamma = params["gamma"]
     t_measure = params.get("measure_time", 7.5)
@@ -186,7 +187,7 @@ def _run_witness(params: dict, threads: int):
     sensitivity = params.get("time_sensitivity", True)
     times = [0.8 * t_measure, t_measure, 1.2 * t_measure] if sensitivity else [t_measure]
 
-    series = _pmap(lambda n: _witness_series(n, gamma, times, dt, kind, h0), sizes, threads)
+    series = [_witness_series(n, gamma, times, dt, kind, h0) for n in sizes]
     main_idx = times.index(t_measure)
     fs = [s[main_idx] for s in series]
     rows = [(n, f, f / n, entanglement_depth(f, n)) for n, f in zip(sizes, fs)]
@@ -201,11 +202,11 @@ def _run_witness(params: dict, threads: int):
 # ----------------------------------------------------------- quench-series
 
 
-def _run_quench_series(params: dict, threads: int):
+def _run_quench_series(params: dict):
     p = ModelParams(params["n_sites"], params["h"], params["gamma"], "periodic")
     ts = list(params["times"])
     window = params.get("fit_window", 0.3)
-    fs = _pmap(lambda t: qfi_quench(p, float(t)), ts, threads)
+    fs = [qfi_quench(p, float(t)) for t in ts]
     rows = list(zip(ts, fs))
     # transient exclusion: start at the stabilized slope, but never earlier
     # than the trailing-window default
@@ -236,11 +237,11 @@ def default_fbar_gammas(h: float, per_side: int = 40, span: float = 0.5,
     return [float(g) for g in np.concatenate([below, [gc], above])]
 
 
-def _run_fbar(params: dict, threads: int):
+def _run_fbar(params: dict):
     h = params["h"]
     n_sites = params.get("n_sites", 512)
     gammas = params.get("gammas") or default_fbar_gammas(h, params.get("points_per_side", 40))
-    vals = _pmap(lambda g: fbar(ModelParams(n_sites, h, float(g), "periodic")), gammas, threads)
+    vals = [fbar(ModelParams(n_sites, h, float(g), "periodic")) for g in gammas]
     rows = list(zip(gammas, vals))
     gc = critical_gamma(h)
     peak = gammas[int(np.argmax(vals))]
@@ -258,15 +259,15 @@ def _run_fbar(params: dict, threads: int):
 # ------------------------------------------------------- critical-exponent
 
 
-def _run_critical(params: dict, threads: int):
+def _run_critical(params: dict):
     h = params["h"]
     off = params.get("log_offsets", {})
     lo, hi, num = off.get("min", -6.0), off.get("max", -2.0), off.get("num", 40)
     offsets = np.exp(np.linspace(lo, hi, num))
     gc = critical_gamma(h)
 
-    below = _pmap(lambda d: critical_mode_coefficient(h, gc - float(d)), offsets, threads)
-    above = _pmap(lambda d: critical_mode_coefficient(h, gc + float(d)), offsets, threads)
+    below = [critical_mode_coefficient(h, gc - float(d)) for d in offsets]
+    above = [critical_mode_coefficient(h, gc + float(d)) for d in offsets]
     rows = [(gc - d, f, "below") for d, f in sorted(zip(offsets, below), reverse=True)]
     rows += [(gc + d, f, "above") for d, f in sorted(zip(offsets, above))]
     fits = [
@@ -279,7 +280,7 @@ def _run_critical(params: dict, threads: int):
 # ------------------------------------------------------------ oracle-check
 
 
-def _run_oracle(params: dict, threads: int):
+def _run_oracle(params: dict):
     tol_modes = params.get("tol_quench", 1e-5)
     tol_ed = params.get("tol_ed", 1e-6)
     tol_wit = params.get("tol_witness", 1e-6)
@@ -325,22 +326,32 @@ _RUNNERS = {
     "oracle-check": _run_oracle,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int = 1) -> RunResult:
     """Validate, dispatch, and write <experiment>.csv / <experiment>.json.
 
-    Raises ToleranceFailure after writing outputs if an oracle check ends
-    up above its tolerance.
+    Raises NumericalFault, before anything is written, if a row or result
+    is not finite, and ToleranceFailure after writing outputs if an oracle
+    check ends up above its tolerance.  ``threads`` is ignored: grid points
+    always run in order.  It stays only because ``perfbench/harness.py``
+    passes it, and goes with the benchmark change listed in ROADMAP.md.
     """
     config = validate_config(config)
     exp = config["experiment"]
-    out = Path(out_dir) if out_dir is not None else Path(config.get("output_path", "."))
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    header, rows, fits, checks = _RUNNERS[exp](config.get("params", {}), threads)
+    header, rows, fits, checks = _RUNNERS[exp](config.get("params", {}))
     wall = time.perf_counter() - start
 
+    results = {"fits": fits, "checks": checks}
+    found = _first_non_finite({"rows": rows, "results": results})
+    if found:
+        raise NumericalFault(f"{exp}: non-finite value {found[1]!r} at '{found[0]}'")
+
+    out = Path(out_dir) if out_dir is not None else Path(config.get("output_path", "."))
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{exp}.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write(header + "\n")
@@ -350,7 +361,7 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
     ok = all(c.get("ok", True) for c in checks)
     summary = {
         "config": config,
-        "results": {"fits": fits, "checks": checks},
+        "results": results,
         "versions": _versions(),
         "wall_time_s": wall,
     }

@@ -38,7 +38,7 @@ class TestCriterion1WitnessScaling:
                         "time_sensitivity": True,
                     },
                 }
-                result = run_experiment(cfg, out_dir=tmp_path / f"wit{gamma}", threads=1)
+                result = run_experiment(cfg, out_dir=tmp_path / f"wit{gamma}")
                 fits = {f["name"]: f for f in result.summary["results"]["fits"]}
                 etas[gamma] = fits["eta"]["value"]
         elapsed = time.perf_counter() - start
@@ -73,7 +73,7 @@ class TestCriterion2QuenchRate:
                     "times": [float(t) for t in times],
                 },
             }
-            result = run_experiment(cfg, out_dir=tmp_path / f"q{gamma}", threads=1)
+            result = run_experiment(cfg, out_dir=tmp_path / f"q{gamma}")
             fits = {f["name"]: f for f in result.summary["results"]["fits"]}
             rates[gamma] = fits["growth_rate"]["value"]
         elapsed = time.perf_counter() - start
@@ -96,7 +96,7 @@ class TestCriterion3FbarPeak:
         budget_s = 60.0
         start = time.perf_counter()
         cfg = {"experiment": "fbar-sweep", "params": {"h": 0.6, "n_sites": 512}}
-        result = run_experiment(cfg, out_dir=tmp_path, threads=1)
+        result = run_experiment(cfg, out_dir=tmp_path)
         info = result.summary["results"]["checks"][0]
         gc = critical_gamma(0.6)
         lo = fbar(ModelParams(512, 0.6, gc - 0.4))
@@ -121,7 +121,7 @@ class TestCriterion4CriticalExponents:
         budget_s = 60.0
         start = time.perf_counter()
         cfg = {"experiment": "critical-exponent", "params": {"h": 0.6}}
-        result = run_experiment(cfg, out_dir=tmp_path, threads=1)
+        result = run_experiment(cfg, out_dir=tmp_path)
         fits = {f["name"]: f for f in result.summary["results"]["fits"]}
         above = fits["slope_above"]["value"]
         below = fits["slope_below"]["value"]
@@ -265,7 +265,7 @@ class TestCriterion7StructuralInvariants:
 
 
 class TestCriterion8Determinism:
-    def test_reruns_and_thread_counts_are_byte_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path):
         configs = {
             "fbar-sweep": {
                 "experiment": "fbar-sweep",
@@ -291,9 +291,9 @@ class TestCriterion8Determinism:
             warnings.simplefilter("ignore")
             for name, cfg in configs.items():
                 outs = []
-                for tag, threads in (("a", 1), ("b", 1), ("c", 3)):
+                for tag in ("a", "b", "c"):
                     out = tmp_path / f"{name}-{tag}"
-                    run_experiment(json.loads(json.dumps(cfg)), out_dir=out, threads=threads)
+                    run_experiment(json.loads(json.dumps(cfg)), out_dir=out)
                     outs.append(out)
                 csv_blobs = [(o / f"{name}.csv").read_bytes() for o in outs]
                 jsons = []
@@ -303,5 +303,5 @@ class TestCriterion8Determinism:
                     jsons.append(data)
                 same = csv_blobs[0] == csv_blobs[1] == csv_blobs[2] and jsons[0] == jsons[1] == jsons[2]
                 all_ok = all_ok and same
-        report(8, all_ok, "reruns and thread-count variations byte-identical (wall time aside)")
+        report(8, all_ok, "reruns byte-identical (wall time aside)")
         assert all_ok

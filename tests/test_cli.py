@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mipt_qfi import ed, experiments
 from mipt_qfi.cli import main
 from mipt_qfi.experiments import run_experiment, validate_config
 from mipt_qfi.errors import ConfigError
-from mipt_qfi.spectral import ModelParams, spectrum_table
+from mipt_qfi.spectral import ModelParams, critical_gamma, spectrum_table
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -35,6 +37,7 @@ WITNESS = {
     "experiment": "witness-scaling",
     "params": {"sizes": [4, 6, 8], "gamma": 0.75, "measure_time": 0.5, "dt": 0.1},
 }
+CRITICAL = {"experiment": "critical-exponent", "params": {"h": 0.6, "log_offsets": {"num": 8}}}
 ORACLE = {
     "experiment": "oracle-check",
     "params": {
@@ -80,6 +83,37 @@ class TestConfigValidation:
         cfg = {"experiment": "critical-exponent", "params": {"h": 1.3}}
         with pytest.raises(ConfigError, match="h"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "log_offsets,message",
+        [
+            ({"max": 2.0}, "log\\(gamma_c\\)"),  # gamma_c - e^2 < 0 at h = 0.6
+            ({"max": 800.0}, "log\\(gamma_c\\)"),  # e^800 overflows
+            ({"max": float(np.log(critical_gamma(0.6)))}, "log\\(gamma_c\\)"),  # gamma = 0
+            ({"min": -40.0}, "gamma_c in double precision"),
+        ],
+        ids=["max=2", "max=800", "max=log_gamma_c", "min=-40"],
+    )
+    def test_critical_offsets_keep_gamma_positive_and_off_gamma_c(self, log_offsets, message):
+        cfg = {"experiment": "critical-exponent", "params": {"h": 0.6, "log_offsets": log_offsets}}
+        with pytest.raises(ConfigError, match=f"params/log_offsets: .*{message}"):
+            validate_config(cfg)
+
+    def test_schema_checked_once_per_process(self, monkeypatch):
+        from jsonschema import Draft202012Validator
+
+        checks = []
+        original = Draft202012Validator.check_schema
+
+        def counting(cls, schema, *args, **kwargs):
+            checks.append(schema)
+            return original(schema, *args, **kwargs)
+
+        experiments._validator.cache_clear()
+        monkeypatch.setattr(Draft202012Validator, "check_schema", classmethod(counting))
+        validate_config(json.loads(json.dumps(SPECTRUM)))
+        validate_config(json.loads(json.dumps(QUENCH)))
+        assert len(checks) == 1
 
     @pytest.mark.parametrize(
         "payload,field",
@@ -138,6 +172,50 @@ class TestCliContract:
         assert result.exit_code == 4, result.output
         assert "numerical fault" in result.output
 
+    @pytest.mark.parametrize(
+        "module,name,payload",
+        [
+            (experiments, "spectrum_table", SPECTRUM),
+            (experiments, "qfi_quench", QUENCH),
+            (experiments, "fbar", FBAR),
+            (experiments, "critical_mode_coefficient", CRITICAL),
+            (ed, "qfi_finite_difference", ORACLE),
+            (None, None, {"experiment": "spectrum", "params": {"n_sites": 8, "h": 1e308, "gamma": 2.0}}),
+        ],
+        ids=["spectrum_table", "qfi_quench", "fbar", "critical_mode_coefficient", "qfi_finite_difference", "h=1e308"],
+    )
+    def test_non_finite_result_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, module, name, payload):
+        if module is not None:
+            original = getattr(module, name)
+            calls = itertools.count()
+
+            def first_call_nan(*args, **kwargs):
+                value = original(*args, **kwargs)
+                return value * np.nan if next(calls) == 0 else value
+
+            monkeypatch.setattr(module, name, first_call_nan)
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        exp = payload["experiment"]
+        result = CliRunner().invoke(main, [exp, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 4, result.output
+        assert f"numerical fault: {exp}: non-finite value" in result.output
+        assert not (out / f"{exp}.csv").exists()
+
+    def test_threads_option_is_gone(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", QUENCH)
+        result = CliRunner().invoke(
+            main, ["quench-series", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]
+        )
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--threads" in result.output
+
+    def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MIPT_QFI_THREADS", "abc")
+        cfg = write_config(tmp_path / "c.json", QUENCH)
+        result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+
     def test_tolerance_failure_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -182,20 +260,6 @@ class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            run_experiment(json.loads(json.dumps(FBAR)), out_dir=out, threads=1)
+            run_experiment(json.loads(json.dumps(FBAR)), out_dir=out)
         assert (out_a / "fbar-sweep.csv").read_bytes() == (out_b / "fbar-sweep.csv").read_bytes()
         assert read_masked_json(out_a / "fbar-sweep.json") == read_masked_json(out_b / "fbar-sweep.json")
-
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        out_a, out_b = tmp_path / "t1", tmp_path / "t4"
-        run_experiment(json.loads(json.dumps(QUENCH)), out_dir=out_a, threads=1)
-        run_experiment(json.loads(json.dumps(QUENCH)), out_dir=out_b, threads=4)
-        assert (out_a / "quench-series.csv").read_bytes() == (out_b / "quench-series.csv").read_bytes()
-
-    def test_env_override_for_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIPT_QFI_THREADS", "2")
-        cfg = write_config(tmp_path / "c.json", QUENCH)
-        result = CliRunner().invoke(
-            main, ["quench-series", "--config", cfg, "--out", str(tmp_path), "--threads", "1"]
-        )
-        assert result.exit_code == 0, result.output
