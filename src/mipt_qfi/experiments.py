@@ -8,9 +8,7 @@ pipelines, evaluates the grid points in the declared order, and writes
                                 wall_time_s}
 
 All numbers are formatted with repr-exact precision, so reruns of the
-same config are byte-identical apart from the wall_time_s field.  A run
-whose rows or results hold a NaN or +-Infinity raises NumericalFault and
-writes nothing.
+same config are byte-identical apart from the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ed
-from .errors import ConfigError, NumericalFault, ToleranceFailure
+from .errors import ConfigError, ToleranceFailure
 from .fitting import fit_exponential_rate, fit_power_law, stable_window_start
 from .qfi import critical_mode_coefficient, fbar, qfi_quench
 from .realspace import entanglement_depth, evolve, init_state, witness_qfi
@@ -64,31 +62,26 @@ def _strictly_increasing(values, name: str) -> None:
         raise ConfigError(f"{name}: grid must be strictly increasing")
 
 
-def _first_non_finite(value, path: str = ""):
-    """(path, value) of the first NaN or +-Infinity below value, else None."""
-    if isinstance(value, (float, np.floating)):
-        return None if math.isfinite(value) else (path, value)
+def _reject_non_finite(value, path: str) -> None:
+    """Raise ConfigError on a NaN or +-Infinity anywhere below value.
+
+    Python's json reads these literals and the schema's "number" admits them.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config field '{path or '<root>'}': {value!r} is not a finite number")
     if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, (list, tuple)):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _first_non_finite(item, f"{path}/{key}" if path else str(key))
-        if found:
-            return found
-    return None
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}/{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}/{i}")
 
 
 def validate_config(config: dict) -> dict:
     """Schema validation plus cross-field grid checks; returns the config."""
     from jsonschema.exceptions import best_match
 
-    # Python's json reads NaN and Infinity, and the schema's "number" admits them
-    found = _first_non_finite(config)
-    if found:
-        raise ConfigError(f"config field '{found[0] or '<root>'}': {found[1]!r} is not a finite number")
+    _reject_non_finite(config, "")
     error = best_match(_validator().iter_errors(config))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
@@ -332,26 +325,20 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int = 1) -> RunResult:
     """Validate, dispatch, and write <experiment>.csv / <experiment>.json.
 
-    Raises NumericalFault, before anything is written, if a row or result
-    is not finite, and ToleranceFailure after writing outputs if an oracle
-    check ends up above its tolerance.  ``threads`` is ignored: grid points
-    always run in order.  It stays only because ``perfbench/harness.py``
-    passes it, and goes with the benchmark change listed in ROADMAP.md.
+    Raises ToleranceFailure after writing outputs if an oracle check ends
+    up above its tolerance.  ``threads`` is ignored: grid points always
+    run in order.  It stays only because ``perfbench/harness.py`` passes
+    it, and goes with the benchmark change listed in ROADMAP.md.
     """
     config = validate_config(config)
     exp = config["experiment"]
+    out = Path(out_dir) if out_dir is not None else Path(config.get("output_path", "."))
+    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     header, rows, fits, checks = _RUNNERS[exp](config.get("params", {}))
     wall = time.perf_counter() - start
 
-    results = {"fits": fits, "checks": checks}
-    found = _first_non_finite({"rows": rows, "results": results})
-    if found:
-        raise NumericalFault(f"{exp}: non-finite value {found[1]!r} at '{found[0]}'")
-
-    out = Path(out_dir) if out_dir is not None else Path(config.get("output_path", "."))
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{exp}.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write(header + "\n")
@@ -361,7 +348,7 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
     ok = all(c.get("ok", True) for c in checks)
     summary = {
         "config": config,
-        "results": results,
+        "results": {"fits": fits, "checks": checks},
         "versions": _versions(),
         "wall_time_s": wall,
     }

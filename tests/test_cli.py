@@ -1,4 +1,3 @@
-import itertools
 import json
 from pathlib import Path
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mipt_qfi import ed, experiments
+from mipt_qfi import experiments
 from mipt_qfi.cli import main
 from mipt_qfi.experiments import run_experiment, validate_config
 from mipt_qfi.errors import ConfigError
@@ -37,7 +36,6 @@ WITNESS = {
     "experiment": "witness-scaling",
     "params": {"sizes": [4, 6, 8], "gamma": 0.75, "measure_time": 0.5, "dt": 0.1},
 }
-CRITICAL = {"experiment": "critical-exponent", "params": {"h": 0.6, "log_offsets": {"num": 8}}}
 ORACLE = {
     "experiment": "oracle-check",
     "params": {
@@ -171,36 +169,6 @@ class TestCliContract:
         result = CliRunner().invoke(main, ["witness-scaling", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 4, result.output
         assert "numerical fault" in result.output
-
-    @pytest.mark.parametrize(
-        "module,name,payload",
-        [
-            (experiments, "spectrum_table", SPECTRUM),
-            (experiments, "qfi_quench", QUENCH),
-            (experiments, "fbar", FBAR),
-            (experiments, "critical_mode_coefficient", CRITICAL),
-            (ed, "qfi_finite_difference", ORACLE),
-            (None, None, {"experiment": "spectrum", "params": {"n_sites": 8, "h": 1e308, "gamma": 2.0}}),
-        ],
-        ids=["spectrum_table", "qfi_quench", "fbar", "critical_mode_coefficient", "qfi_finite_difference", "h=1e308"],
-    )
-    def test_non_finite_result_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, module, name, payload):
-        if module is not None:
-            original = getattr(module, name)
-            calls = itertools.count()
-
-            def first_call_nan(*args, **kwargs):
-                value = original(*args, **kwargs)
-                return value * np.nan if next(calls) == 0 else value
-
-            monkeypatch.setattr(module, name, first_call_nan)
-        cfg = write_config(tmp_path / "c.json", payload)
-        out = tmp_path / "out"
-        exp = payload["experiment"]
-        result = CliRunner().invoke(main, [exp, "--config", cfg, "--out", str(out)])
-        assert result.exit_code == 4, result.output
-        assert f"numerical fault: {exp}: non-finite value" in result.output
-        assert not (out / f"{exp}.csv").exists()
 
     def test_threads_option_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)
