@@ -140,14 +140,11 @@ def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
     chain the global ground state is returned.
     """
     n = params.n_sites
-    if params.boundary == "periodic":
-        even, _ = _parity_sectors(n)
-        vals, vecs = np.linalg.eigh(_generator(params.with_gamma(0.0), even))
-        amps = np.zeros(2**n, dtype=complex)
-        amps[even] = vecs[:, 0]
-        return DenseState(amps, n), float(vals[0])
-    vals, vecs = np.linalg.eigh(build_hamiltonian(params))
-    return DenseState(vecs[:, 0].astype(complex), n), float(vals[0])
+    rows = _parity_sectors(n)[0] if params.boundary == "periodic" else np.arange(2**n)
+    vals, vecs = np.linalg.eigh(_generator(params.with_gamma(0.0), rows))
+    amps = np.zeros(2**n, dtype=complex)
+    amps[rows] = vecs[:, 0]
+    return DenseState(amps, n), float(vals[0])
 
 
 def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseState:
@@ -202,7 +199,7 @@ def qfi_finite_difference(
     coarse, fine = estimates
     rich = (4.0 * fine - coarse) / 3.0
     spread = abs(fine - coarse) / max(abs(rich), 1e-30)
-    if spread > 0.05:
+    if not spread <= 0.05:
         raise NumericalFault(
             f"finite-difference QFI did not converge: {coarse:.6e} vs {fine:.6e}"
         )

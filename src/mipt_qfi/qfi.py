@@ -182,8 +182,9 @@ def qfi_quench(params: ModelParams, t: float, amps0: BogoliubovAmplitudes | None
     The additive constant in the generator cancels in the covariance and
     never enters.  Raises NumericalFault when round-off of the evolved
     pairs, amplified by the growing entries of R_k, could exceed 1e-6 of
-    the result: the estimated floor is sum_k (2 |off_k| n_k + n_k^2) with
-    n_k = eps_mach * max(|A_k|, |B_k|, |C_k|).
+    the result, or when F or the floor is not finite: the estimated floor
+    is sum_k (2 |off_k| n_k + n_k^2) with n_k = eps_mach * max(|A_k|,
+    |B_k|, |C_k|).
     """
     if params.boundary != "periodic":
         raise ValueError("quench QFI is defined for the periodic chain")
@@ -196,9 +197,9 @@ def qfi_quench(params: ModelParams, t: float, amps0: BogoliubovAmplitudes | None
     total = float(np.sum(off**2))
     noise = np.finfo(float).eps * np.max(np.abs(entries), axis=0)
     floor = float(np.sum(2.0 * off * noise + noise**2))
-    if floor > _ROUNDOFF_RTOL * total:
+    if not (np.isfinite(total) and floor <= _ROUNDOFF_RTOL * total):
         raise NumericalFault(
-            f"quench QFI at t = {t}: round-off floor {floor:.2e} exceeds "
+            f"quench QFI at t = {t}: round-off floor {floor:.2e} is not within "
             f"{_ROUNDOFF_RTOL:g} of F = {total:.2e}"
         )
     return total

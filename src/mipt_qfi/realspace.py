@@ -18,12 +18,15 @@ conditioned (at most e^{gamma tau} <= 1e4 per chunk of length tau), each
 followed by QR re-orthonormalization of the frame columns, which restores
 U+U + V+V = I without changing the physical state.
 
-Wick contractions follow from the frame: <c+_i c_j> = (V V+)_ij,
-<c_i c_j> = (U V+)_ij, <c_i c+_j> = (U U+)_ij.  Spin-spin correlators
-<x_i x_j> reduce to Pfaffians of the Majorana string matrix, all of them
-at once in O(N^4) by the nested real kernel `_kernels.xx_table`, and the
-witness QFI is F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j> (the mean
-<S_x> vanishes by fermion parity of the evolved state).
+Every two-point function follows from the frame: with psi = (c; c+),
+<psi psi+> = W W+.  The Majorana operators a_i = c_i + c_i+ and
+b_i = i (c_i+ - c_i) therefore have the rows M[2i] = U_i + V_i and
+M[2i+1] = i (V_i - U_i), and <g_p g_q> = (M M+)_pq.  Spin-spin
+correlators <x_i x_j> reduce to Pfaffians of the Majorana string matrix,
+all of them at once in O(N^4) by the nested real kernel
+`_kernels.xx_table`, and the witness QFI is F = 4 Var(S_x) =
+N + 2 sum_{i<j} <x_i x_j> (the mean <S_x> vanishes by fermion parity of
+the evolved state).
 """
 
 from __future__ import annotations
@@ -78,28 +81,19 @@ class GaussianState:
         return -np.linalg.solve(self.U.conj().T, self.V.conj().T)
 
 
-def _hopping(n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = 1.0
-    m[idx + 1, idx] = 1.0
-    return m
-
-
-def _pairing(n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = 1.0
-    m[idx + 1, idx] = -1.0
-    return m
+def _hermitian_kernel(n: int, h: float) -> np.ndarray:
+    """Real K_herm = [[A, P], [-P, -A]] with A = A_hop - 2 h I."""
+    bond = np.eye(n, k=1)
+    a = bond + bond.T - 2.0 * h * np.eye(n)
+    p = bond - bond.T
+    return np.block([[a, p], [-p, -a]])
 
 
 def _kernel(params: ModelParams) -> np.ndarray:
+    """K = K_herm + (i gamma / 2) diag(I, -I)."""
     n = params.n_sites
-    a_conj = _hopping(n).astype(complex)
-    a_conj += (-2.0 * params.h + 0.5j * params.gamma) * np.eye(n)
-    p = _pairing(n)
-    return np.block([[a_conj, p], [-p, -a_conj]])
+    rate = np.repeat([0.5j * params.gamma, -0.5j * params.gamma], n)
+    return _hermitian_kernel(n, params.h) + np.diag(rate)
 
 
 def init_state(n_sites: int, kind: str = "vacuum", h: float = 0.0) -> GaussianState:
@@ -117,13 +111,7 @@ def init_state(n_sites: int, kind: str = "vacuum", h: float = 0.0) -> GaussianSt
         return GaussianState(np.eye(n_sites, dtype=complex), np.zeros((n_sites, n_sites), complex))
     if kind != "hermitian-ground":
         raise ValueError(f"unknown initial state kind {kind!r}")
-    kernel = np.block(
-        [
-            [_hopping(n_sites) - 2.0 * h * np.eye(n_sites), _pairing(n_sites)],
-            [-_pairing(n_sites), -(_hopping(n_sites) - 2.0 * h * np.eye(n_sites))],
-        ]
-    )
-    vals, vecs = np.linalg.eigh(kernel)
+    vals, vecs = np.linalg.eigh(_hermitian_kernel(n_sites, h))
     if np.min(np.abs(vals)) < 1e-12:
         warnings.warn(
             "open-chain ground state is degenerate (zero mode); "
@@ -179,24 +167,14 @@ def majorana_correlations(state: GaussianState) -> np.ndarray:
     """Antisymmetric 2N x 2N matrix of connected Majorana two-point functions.
 
     Interleaved ordering a_0, b_0, a_1, b_1, ... with a_i = c_i + c_i+ and
-    b_i = i (c_i+ - c_i); the identity part of <g_p g_q> is removed.
+    b_i = i (c_i+ - c_i).  <g_p g_q> = G_pq with G = M M+; the symmetric
+    part of G is the identity, so (G - G^T)/2 removes it.
     """
     u, v = state.U, state.V
-    cdag = v @ v.conj().T          # <c+_i c_j>
-    ccd = u @ u.conj().T           # <c_i c+_j>
-    fcc = u @ v.conj().T           # <c_i c_j>
-    fdd = fcc.conj().T             # <c+_i c+_j>
-    aa = fcc + ccd + cdag + fdd
-    bb = -fdd + cdag + ccd - fcc
-    ab = 1j * (ccd - fcc + fdd - cdag)
-    ba = 1j * (cdag + fdd - fcc - ccd)
-    n = state.n_sites
-    g = np.empty((2 * n, 2 * n), dtype=complex)
-    g[0::2, 0::2] = aa
-    g[1::2, 1::2] = bb
-    g[0::2, 1::2] = ab
-    g[1::2, 0::2] = ba
-    np.fill_diagonal(g, 0.0)
+    m = np.empty((2 * state.n_sites, state.n_sites), dtype=complex)
+    m[0::2] = u + v
+    m[1::2] = 1j * (v - u)
+    g = m @ m.conj().T
     return 0.5 * (g - g.T)
 
 
@@ -242,15 +220,8 @@ def entanglement_depth(F: float, n_sites: int) -> int:
 def energy_expectation(state: GaussianState, params: ModelParams) -> float:
     """<H> of the open-chain Hermitian part on this Gaussian state.
 
-    H = sum A_ij c+_i c_j + (1/2) sum P_ij (c+_i c+_j - c_i c_j) + h N,
-    by Wick contraction of the frame correlators.
+    H = -sum_i x_i x_{i+1} - h sum_i s^z_i with <x_i x_{i+1}> = -Gamma[2i+1, 2i+2]
+    and <s^z_i> = -Gamma[2i, 2i+1], Gamma = Im of the Majorana matrix.
     """
-    n = state.n_sites
-    a = _hopping(n) - 2.0 * params.h * np.eye(n)
-    p = _pairing(n)
-    u, v = state.U, state.V
-    cdag = v @ v.conj().T
-    fcc = u @ v.conj().T
-    fdd = fcc.conj().T
-    val = np.sum(a * cdag) + 0.5 * np.sum(p * fdd) - 0.5 * np.sum(p * fcc)
-    return float(val.real + params.h * n)
+    bonds = np.diagonal(majorana_correlations(state), offset=1).imag
+    return float(np.sum(bonds[1::2]) + params.h * np.sum(bonds[0::2]))

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from mipt_qfi import experiments
 from mipt_qfi.cli import main
-from mipt_qfi.experiments import run_experiment, validate_config
+from mipt_qfi.experiments import load_config, run_experiment, validate_config
 from mipt_qfi.errors import ConfigError
 from mipt_qfi.spectral import ModelParams, critical_gamma, spectrum_table
 
@@ -50,7 +50,15 @@ ORACLE = {
 }
 
 
+SHIPPED_CONFIGS = Path(__file__).parents[1] / "docs" / "configs"
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_shipped_config_is_valid(self, name):
+        config = validate_config(load_config(SHIPPED_CONFIGS / f"{name}.json"))
+        assert config["experiment"] == name
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config({**SPECTRUM, "seed": 42})
@@ -169,6 +177,16 @@ class TestCliContract:
         result = CliRunner().invoke(main, ["witness-scaling", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 4, result.output
         assert "numerical fault" in result.output
+
+    def test_non_finite_quench_qfi_exits_with_numerical_fault(self, tmp_path):
+        # past the round-off floor F overflows to inf at t = 100 and nan at t = 200
+        params = {"n_sites": 16, "h": 0.3, "gamma": 6.0, "times": [1, 2, 3, 100, 150, 200]}
+        cfg = write_config(tmp_path / "c.json", {"experiment": "quench-series", "params": params})
+        with np.errstate(all="ignore"):
+            result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "numerical fault" in result.output
+        assert not (tmp_path / "quench-series.csv").exists()
 
     def test_threads_option_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)

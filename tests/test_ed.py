@@ -156,6 +156,14 @@ class TestQfiOracles:
         assert o_covariance_qfi(p, t, initial, wrt="h") == pytest.approx(expected, rel=1e-8)
         assert qfi_finite_difference(p, t, initial, wrt="h") == pytest.approx(expected, rel=1e-6)
 
+    def test_zero_step_raises_instead_of_nan(self):
+        from mipt_qfi.errors import NumericalFault
+
+        p = ModelParams(4, 0.3, 0.5)
+        gs, _ = dense_ground_state(p)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFault, match="did not converge"):
+            qfi_finite_difference(p, 1.0, gs, delta=0.0)
+
     def test_quadrature_size_cap(self):
         p = ModelParams(12, 0.3, 1.0)
         with pytest.raises(ValueError):
@@ -213,9 +221,10 @@ class TestGroundState:
 
     def test_open_chain_ground_is_global_minimum(self):
         p = ModelParams(6, 0.5, 0.0, "open")
-        _, energy = dense_ground_state(p)
-        vals = np.linalg.eigvalsh(build_hamiltonian(p))
+        state, energy = dense_ground_state(p)
+        vals, vecs = np.linalg.eigh(build_hamiltonian(p))
         assert energy == pytest.approx(vals[0], rel=1e-12)
+        np.testing.assert_array_equal(state.amplitudes, vecs[:, 0])
 
 
 class TestBitConvention:

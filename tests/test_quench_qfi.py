@@ -108,11 +108,13 @@ class TestQuenchQfi:
                 expected += abs(-w[1] * rw[0] + w[0] * rw[1]) ** 2
             assert qfi_quench(p, t) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
-    def test_raises_beyond_roundoff_floor(self):
+    @pytest.mark.parametrize("t", [8.0, 100.0, 200.0, 1e4])
+    def test_raises_beyond_roundoff_floor(self, t):
         # above gamma_c the plateau is fbar = 0.054; round-off of the evolved
-        # pairs, amplified by the growing R+ term, used to give 8.1e6 here
-        with pytest.raises(NumericalFault, match="round-off"):
-            qfi_quench(ModelParams(16, 0.3, 6.0), 8.0)
+        # pairs, amplified by the growing R+ term, used to give 8.1e6 at t = 8,
+        # and overflow gave inf at t = 100 and nan from t = 200 on
+        with np.errstate(all="ignore"), pytest.raises(NumericalFault, match="round-off"):
+            qfi_quench(ModelParams(16, 0.3, 6.0), t)
 
 
 class TestModeCoefficients:

@@ -36,6 +36,23 @@ def quiet_init(n, kind):
         return init_state(n, kind)
 
 
+def wick_majorana_correlations(state):
+    """Reference path: the four Majorana blocks assembled from the Wick contractions."""
+    u, v = state.U, state.V
+    cdag = v @ v.conj().T  # <c+_i c_j>
+    ccd = u @ u.conj().T  # <c_i c+_j>
+    fcc = u @ v.conj().T  # <c_i c_j>
+    fdd = fcc.conj().T  # <c+_i c+_j>
+    n = state.n_sites
+    g = np.empty((2 * n, 2 * n), dtype=complex)
+    g[0::2, 0::2] = fcc + ccd + cdag + fdd
+    g[1::2, 1::2] = -fdd + cdag + ccd - fcc
+    g[0::2, 1::2] = 1j * (ccd - fcc + fdd - cdag)
+    g[1::2, 0::2] = 1j * (cdag + fdd - fcc - ccd)
+    np.fill_diagonal(g, 0.0)
+    return 0.5 * (g - g.T)
+
+
 def per_step_evolution(state, params, dt, n_steps):
     """Reference path: one exact exponential step of size dt and one QR per step."""
     step = sla.expm(-1j * dt * _kernel(params))
@@ -94,6 +111,12 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    def test_rejects_nan_entry(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        a[0, 1] = np.nan
+        with pytest.raises(ValueError, match="antisymmetric"):
+            pfaffian(a)
+
     def test_singular_matrix_gives_zero(self):
         assert pfaffian(np.zeros((4, 4))) == 0
 
@@ -111,6 +134,21 @@ class TestInitState:
         p = ModelParams(8, 0.5, 0.0, "open")
         _, e_dense = ed.dense_ground_state(p)
         assert energy_expectation(st_, p) == pytest.approx(e_dense, abs=1e-8)
+
+    @pytest.mark.parametrize("kind, h0", [("vacuum", 0.0), ("hermitian-ground", 0.3)])
+    @pytest.mark.parametrize("h", [0.0, 0.4])
+    @pytest.mark.parametrize("gamma", [0.75, 4.5])
+    def test_evolved_energy_matches_dense(self, kind, h0, h, gamma):
+        n, t = 8, 1.5
+        p = ModelParams(n, h, gamma, "open")
+        state = evolve(init_state(n, kind, h=h0), p, t / 30, 30)
+        if kind == "vacuum":
+            start = ed.dense_vacuum(n)
+        else:
+            start, _ = ed.dense_ground_state(ModelParams(n, h0, 0.0, "open"))
+        psi = ed.evolve_dense(p, t, start).amplitudes
+        e_dense = np.vdot(psi, ed.build_hamiltonian(p) @ psi).real
+        assert energy_expectation(state, p) == pytest.approx(e_dense, abs=1e-10)
 
     def test_degenerate_ground_is_signaled(self):
         with pytest.warns(UserWarning):
@@ -271,6 +309,16 @@ class TestCorrelators:
         for i, j in [(3, 3), (4, 2), (-1, 2), (0, 6)]:
             with pytest.raises(ValueError):
                 xx_correlator(st_, i, j)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("kind", ["vacuum", "hermitian-ground"])
+    @pytest.mark.filterwarnings("ignore:open-chain ground state is degenerate")
+    def test_majorana_product_matches_wick_blocks(self, n, kind):
+        p = ModelParams(n, 0.3, 0.75, "open")
+        state = evolve(init_state(n, kind, h=0.3), p, 0.05, 60)
+        np.testing.assert_allclose(
+            majorana_correlations(state), wick_majorana_correlations(state), rtol=0, atol=1e-14
+        )
 
     def test_majorana_matrix_antisymmetric_with_pfaffian_determinant_pairs(self):
         st_ = evolved(6, 2.0, 1.0)
