@@ -18,6 +18,8 @@ generator quadrature therefore run on each parity sector (2^(N-1) states)
 in which the initial state has weight; a sector without weight is never
 touched and stays exactly zero.
 
+Sector exponentials use the numpy Pade approximant `_kernels.expm`.
+
 The two QFI routes implemented here (central finite differences of the
 normalized state, and the covariance of the time-integrated generator
 built by adaptive Simpson quadrature) are deliberately independent of
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._kernels import expm
 from ._simpson import adaptive_simpson
 from .errors import NumericalFault
 from .spectral import ModelParams
@@ -153,7 +155,7 @@ def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseSta
         raise ValueError("state size does not match params")
     psi = np.zeros(2**params.n_sites, dtype=complex)
     for rows in _occupied_sectors(initial):
-        psi[rows] = sla.expm(-1j * t * _generator(params, rows)) @ initial.amplitudes[rows]
+        psi[rows] = expm(-1j * t * _generator(params, rows)) @ initial.amplitudes[rows]
     norm = np.linalg.norm(psi)
     if norm == 0.0 or not np.isfinite(norm):
         raise NumericalFault(f"dense evolution lost normalization at t = {t}")

@@ -131,15 +131,13 @@ class RunResult:
 
 
 def _versions() -> dict:
-    import numpy
-    import scipy
-
     from . import __version__
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "mipt_qfi": __version__,
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
         "python": sys.version.split()[0],
     }
 

@@ -190,13 +190,15 @@ def qfi_quench(params: ModelParams, t: float, amps0: BogoliubovAmplitudes | None
         raise ValueError("quench QFI is defined for the periodic chain")
     if amps0 is None:
         amps0 = ising_ground_amplitudes(params)
-    amps = evolve_amplitudes(amps0, params, t)
-    mode, spec = mode_system(params, amps.k)
-    entries = _closed_form_entries(mode, spec, t)
-    off = np.abs(_off_diagonal(entries, amps.u, amps.v))
-    total = float(np.sum(off**2))
-    noise = np.finfo(float).eps * np.max(np.abs(entries), axis=0)
-    floor = float(np.sum(2.0 * off * noise + noise**2))
+    # past the floor the entries overflow; the check below decides, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = evolve_amplitudes(amps0, params, t)
+        mode, spec = mode_system(params, amps.k)
+        entries = _closed_form_entries(mode, spec, t)
+        off = np.abs(_off_diagonal(entries, amps.u, amps.v))
+        total = float(np.sum(off**2))
+        noise = np.finfo(float).eps * np.max(np.abs(entries), axis=0)
+        floor = float(np.sum(2.0 * off * noise + noise**2))
     if not (np.isfinite(total) and floor <= _ROUNDOFF_RTOL * total):
         raise NumericalFault(
             f"quench QFI at t = {t}: round-off floor {floor:.2e} is not within "
@@ -297,8 +299,14 @@ def mode_qfi_coefficients(params: ModelParams) -> list[ModeQfiCoefficient]:
 
 
 def fbar(params: ModelParams) -> float:
-    """Auxiliary sum Fbar = sum_k F_k of the time-free mode coefficients."""
-    return float(np.sum(_grid_coefficients(params).F_k))
+    """Auxiliary sum Fbar = sum_k F_k of the time-free mode coefficients.
+
+    Raises NumericalFault when the sum is not finite.
+    """
+    value = float(np.sum(_grid_coefficients(params).F_k))
+    if not np.isfinite(value):
+        raise NumericalFault(f"Fbar is not finite ({value}) at {params}")
+    return value
 
 
 def critical_mode_coefficient(h: float, gamma: float) -> float:
@@ -309,11 +317,17 @@ def critical_mode_coefficient(h: float, gamma: float) -> float:
     gamma_c the eigenvalue pair is real, the growth is t^2, and the
     coefficient scales as (gamma_c - gamma)^{-2}.  Both are evaluated on
     the quench initial state, which at k_c is (1, -1)/sqrt(2).  Diverges
-    at gamma = gamma_c exactly.
+    at gamma = gamma_c exactly; a non-finite value (gamma so large that
+    alpha^2 overflows) raises NumericalFault.
     """
     gc = critical_gamma(h)
     if gamma == gc:
         raise ValueError("coefficient diverges exactly at gamma_c")
     mode, spec = critical_mode_system(h, gamma)
     entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode, spec)
-    return float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)
+    value = float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)
+    if not np.isfinite(value):
+        raise NumericalFault(
+            f"critical-mode coefficient is not finite at h = {h!r}, gamma = {gamma!r}"
+        )
+    return value

@@ -12,7 +12,8 @@ single-particle kernel
 
 where the fermionization dictionary is s^z = 2 n - 1 with string factors
 (2 n_j - 1), so the monitored number n_i is the fermion number.  The
-kernel is time independent, so `evolve` applies its exact exponential in
+kernel is time independent, so `evolve` applies its exponential (the
+degree-13 Pade approximant with scaling and squaring, `_kernels.expm`) in
 the fewest equal chunks whose non-unitary growth keeps the frame well
 conditioned (at most e^{gamma tau} <= 1e4 per chunk of length tau), each
 followed by QR re-orthonormalization of the frame columns, which restores
@@ -36,9 +37,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from ._kernels import xx_table
+from ._kernels import expm, xx_table
 from .errors import NumericalFault
 from .pfaffian import pfaffian
 from .spectral import ModelParams
@@ -128,11 +128,12 @@ def evolve(state: GaussianState, params: ModelParams, dt: float, n_steps: int) -
     """Evolve the frame to T = dt * n_steps in a few exact exponential chunks.
 
     The kernel is time independent, so e^{-iKT} may be split into any
-    number of equal chunks; the frame is re-orthonormalized by QR after
-    each.  -iK = -iK_herm + (gamma/2) diag(I, -I), so a chunk of length tau
-    has condition number at most e^{gamma tau}; ceil(gamma T / _LOG_COND)
-    chunks keep every frame entering a QR within cond 1e4 (gamma = 0 is one
-    chunk).  dt only sets the time grid.  n_steps = 0 returns a copy of
+    number of equal chunks; each chunk's exponential is the numpy Pade
+    approximant `_kernels.expm`, and the frame is re-orthonormalized by
+    QR after each.  -iK = -iK_herm + (gamma/2) diag(I, -I), so a chunk of
+    length tau has condition number at most e^{gamma tau};
+    ceil(gamma T / _LOG_COND) chunks keep every frame entering a QR within
+    cond 1e4 (gamma = 0 is one chunk).  dt only sets the time grid.  n_steps = 0 returns a copy of
     the input frame; a frame that loses numerical rank raises
     NumericalFault.
     """
@@ -148,7 +149,7 @@ def evolve(state: GaussianState, params: ModelParams, dt: float, n_steps: int) -
         return GaussianState(state.U.copy(), state.V.copy())
     total = dt * n_steps
     chunks = max(1, math.ceil(params.gamma * total / _LOG_COND))
-    step = sla.expm(-1j * (total / chunks) * _kernel(params))
+    step = expm(-1j * (total / chunks) * _kernel(params))
     w = state.frame()
     n = state.n_sites
     for c in range(chunks):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCriticalPointError
+from .errors import NoCriticalPointError, NumericalFault
 
 __all__ = [
     "ModelParams",
@@ -180,7 +180,17 @@ def gap_character(params: ModelParams, atol: float = 1e-9) -> str:
 
 
 def spectrum_table(params: ModelParams) -> np.ndarray:
-    """(N/2, 3) array of rows (k, E_k, Gamma_k) over the momentum grid."""
+    """(N/2, 3) array of rows (k, E_k, Gamma_k) over the momentum grid.
+
+    Raises NumericalFault when an entry is not finite (e.g. |h| near the
+    largest double, where alpha_k^2 overflows).
+    """
     ks = momentum_grid(params.n_sites)
-    _, spec = mode_system(params, ks)
-    return np.column_stack([ks, spec.E, spec.Gamma])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, spec = mode_system(params, ks)
+    table = np.column_stack([ks, spec.E, spec.Gamma])
+    if not np.all(np.isfinite(table)):
+        raise NumericalFault(
+            f"spectrum is not finite at h = {params.h!r}, gamma = {params.gamma!r}"
+        )
+    return table

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mipt_qfi
 from mipt_qfi import experiments
 from mipt_qfi.cli import main
 from mipt_qfi.experiments import load_config, run_experiment, validate_config
@@ -188,6 +191,15 @@ class TestCliContract:
         assert "numerical fault" in result.output
         assert not (tmp_path / "quench-series.csv").exists()
 
+    def test_non_finite_spectrum_exits_with_numerical_fault(self, tmp_path):
+        # 2 h overflows: the run used to write rows of -inf and exit 0
+        params = {"n_sites": 8, "h": 1e308, "gamma": 2.0}
+        cfg = write_config(tmp_path / "c.json", {"experiment": "spectrum", "params": params})
+        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "numerical fault" in result.output
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_threads_option_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)
         result = CliRunner().invoke(
@@ -240,6 +252,29 @@ class TestCliContract:
         summary = json.loads((tmp_path / "quench-series.json").read_text())
         names = [f["name"] for f in summary["results"]["fits"]]
         assert "growth_rate" in names
+
+
+class TestRuntimeDependencies:
+    def test_shipped_configs_run_without_scipy(self, tmp_path):
+        # numpy and scipy each bundle a BLAS with its own thread pool; a run
+        # that loads both makes the pools compete for the cores
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from mipt_qfi.experiments import load_config, run_experiment\n"
+            "for path in sorted(Path(sys.argv[2]).glob('*.json')):\n"
+            "    run_experiment(load_config(path), out_dir=sys.argv[3])\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = Path(mipt_qfi.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(src), str(SHIPPED_CONFIGS), str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.csv"))) == len(experiments.EXPERIMENTS)
 
 
 class TestDeterminism:

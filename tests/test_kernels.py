@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from mipt_qfi import _kernels
+from mipt_qfi import _kernels, ed, realspace
 from mipt_qfi.errors import NumericalFault
 from mipt_qfi.pfaffian import pfaffian
 from mipt_qfi.realspace import evolve, init_state, majorana_correlations
@@ -127,3 +129,53 @@ class TestMajoranaMatrixChecks:
         g[3, 4], g[4, 3] = np.nan, np.nan
         with pytest.raises(NumericalFault, match="non-finite"):
             _kernels.xx_table(g)
+
+
+def rel_dev(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+# (N, h, gamma) of the frame kernels; h = 0, gamma = 4 is the exceptional
+# point gamma = gamma_c
+FRAME_KERNELS = [
+    (n, h, g) for n in (4, 16, 64) for h in (0.0, 0.3, -0.7) for g in (0.0, 0.3, 0.75, 4.0, 4.5, 9.0)
+] + [(128, 0.0, 0.0), (128, 0.0, 4.0)]
+
+
+class TestExpm:
+    # chunk lengths tau as in `evolve`, where gamma tau is capped at ln 1e4
+    @pytest.mark.parametrize("n,h,gamma", FRAME_KERNELS)
+    def test_frame_kernel_matches_scipy(self, n, h, gamma):
+        kernel = realspace._kernel(ModelParams(n, h, gamma, "open"))
+        for tau in (0.05, 1.5, 6.0, 12.0):
+            if gamma > 0:
+                tau = min(tau, math.log(1e4) / gamma)
+            a = -1j * tau * kernel
+            assert rel_dev(_kernels.expm(a), sla.expm(a)) < 1e-13
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_dense_sector_blocks_match_scipy(self, n, boundary):
+        for h, gamma in ((0.3, 0.5), (0.3, 2.0), (0.0, 4.5)):
+            p = ModelParams(n, h, gamma, boundary)
+            for rows in ed._parity_sectors(n):
+                for t in (0.5, 2.0):
+                    a = -1j * t * ed._generator(p, rows)
+                    assert rel_dev(_kernels.expm(a), sla.expm(a)) < 1e-13
+
+    def test_zero_matrix_gives_identity_exactly(self):
+        np.testing.assert_array_equal(_kernels.expm(np.zeros((6, 6), complex)), np.eye(6))
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_either_side_of_the_scaling_threshold(self, factor):
+        # 1-norm just below theta_13 takes no squaring, just above takes one
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        a = factor * _kernels._THETA_13 * x / np.linalg.norm(x, 1)
+        assert rel_dev(_kernels.expm(a), sla.expm(a)) < 1e-13
+
+    def test_non_finite_input_raises(self):
+        a = np.eye(4, dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(NumericalFault, match="non-finite"):
+            _kernels.expm(a)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,13 @@ class TestQuenchQfi:
         with np.errstate(all="ignore"), pytest.raises(NumericalFault, match="round-off"):
             qfi_quench(ModelParams(16, 0.3, 6.0), t)
 
+    def test_fault_beyond_the_floor_is_quiet(self):
+        # the overflow on the way to inf used to print RuntimeWarnings first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match="round-off"):
+                qfi_quench(ModelParams(16, 0.3, 6.0), 100.0)
+
 
 class TestModeCoefficients:
     def test_limit_matches_full_qfi_above_transition(self):
@@ -216,6 +225,13 @@ class TestFbar:
     def test_exceptional_point_between_grid_momenta_stays_finite(self):
         assert fbar(ModelParams(8, 0.0, 4.0)) == pytest.approx(0.10597, rel=1e-4)
 
+    def test_non_finite_sum_raises(self, monkeypatch):
+        coeffs = qfi._grid_coefficients(ModelParams(8, 0.6, 2.0))
+        coeffs.F_k[1] = np.nan
+        monkeypatch.setattr(qfi, "_grid_coefficients", lambda params: coeffs)
+        with pytest.raises(NumericalFault, match="Fbar is not finite"):
+            fbar(ModelParams(8, 0.6, 2.0))
+
     def test_density_converges_with_grid_refinement(self):
         h, gamma = 0.6, 1.6
         a = fbar(ModelParams(64, h, gamma)) / 64
@@ -247,6 +263,11 @@ class TestCriticalModeCoefficient:
     def test_diverges_at_critical_rate(self):
         with pytest.raises(ValueError):
             critical_mode_coefficient(0.6, critical_gamma(0.6))
+
+    def test_overflow_raises(self):
+        # alpha^2 overflows; the coefficient used to come back as nan
+        with pytest.raises(NumericalFault, match="not finite"):
+            critical_mode_coefficient(0.3, 1e160)
 
     def test_finite_with_negative_decay_above(self):
         _, spec = critical_mode_system(0.6, 4.0)

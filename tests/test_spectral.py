@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mipt_qfi.errors import NoCriticalPointError
+from mipt_qfi.errors import NoCriticalPointError, NumericalFault
 from mipt_qfi.spectral import (
     ModelParams,
     critical_gamma,
@@ -151,6 +151,11 @@ class TestCriticality:
         assert abs(below.E) > 0.1 and below.Gamma == 0.0
         _, above = critical_mode_system(h, 1.5 * gc)
         assert above.E == pytest.approx(0.0, abs=1e-12) and above.Gamma < 0.0
+
+    def test_spectrum_table_raises_on_overflow(self):
+        # 2 h overflows to inf, so every E_k and Gamma_k used to be -inf
+        with pytest.raises(NumericalFault, match="spectrum is not finite"):
+            spectrum_table(ModelParams(8, 1e308, 2.0))
 
 
 class TestModelParams:
