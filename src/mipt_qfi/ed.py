@@ -14,16 +14,17 @@ operator is built or applied from these bit operations alone.
 Parity sectors: every term of H_eff conserves the fermion parity
 (-1)^(sum_i n_i), since an xx bond flips two bits and s^z, n_i are
 diagonal; both QFI generators are diagonal too.  Evolution and the
-generator quadrature therefore run on each parity sector (2^(N-1) states)
+generator integral therefore run on each parity sector (2^(N-1) states)
 in which the initial state has weight; a sector without weight is never
 touched and stays exactly zero.
 
-Sector exponentials use the numpy Pade approximant `_kernels.expm`.
-
-The two QFI routes implemented here (central finite differences of the
-normalized state, and the covariance of the time-integrated generator
-built by adaptive Simpson quadrature) are deliberately independent of
-the free-fermion machinery and of each other.
+The two QFI routes implemented here are deliberately independent of the
+free-fermion machinery and of each other.  Central finite differences
+differentiate the normalized state of `evolve_dense`, whose sector
+exponentials are the numpy Pade approximant `_kernels.expm`.  The
+covariance of the time-integrated generator takes one eigendecomposition
+of H_eff per sector, which gives the evolved state and the integral in
+closed form, with no quadrature.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._entire import csinc
 from ._kernels import expm
-from ._simpson import adaptive_simpson
 from .errors import NumericalFault
 from .spectral import ModelParams
 
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 MAX_DENSE_SITES = 12
+# o_covariance_qfi takes a dense eig of each 2^(N-1) sector
 MAX_QUADRATURE_SITES = 10
 
 
@@ -156,10 +158,14 @@ def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseSta
     psi = np.zeros(2**params.n_sites, dtype=complex)
     for rows in _occupied_sectors(initial):
         psi[rows] = expm(-1j * t * _generator(params, rows)) @ initial.amplitudes[rows]
+    return DenseState(psi / _evolved_norm(psi, t), params.n_sites)
+
+
+def _evolved_norm(psi: np.ndarray, t: float) -> float:
     norm = np.linalg.norm(psi)
     if norm == 0.0 or not np.isfinite(norm):
         raise NumericalFault(f"dense evolution lost normalization at t = {t}")
-    return DenseState(psi / norm, params.n_sites)
+    return norm
 
 
 def _normalized_psi(params: ModelParams, t: float, initial: DenseState, wrt: str, shift: float):
@@ -208,47 +214,24 @@ def qfi_finite_difference(
     return rich
 
 
-def _integrated_generator_times(
-    h_eff: np.ndarray, gen: np.ndarray, t: float, psi: np.ndarray, rel_tol: float
-) -> np.ndarray:
-    """O psi for O = int_0^t exp(-i H_eff s) diag(gen) exp(i H_eff s) ds on one sector."""
-    vals, vecs = np.linalg.eig(h_eff)
-    cond = np.linalg.cond(vecs)
-    if cond > 1e8:
-        raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
-    vecs_inv = np.linalg.inv(vecs)
-    gen_tilde = (vecs_inv * gen) @ vecs
-
-    def weighted_sum(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        ea = np.exp(-1j * np.outer(nodes, vals))  # rows: exp(-i w s_j)
-        eb = np.exp(+1j * np.outer(nodes, vals))
-        kernel = (ea * weights[:, None]).T @ eb  # sum_j w_j outer(a_j, b_j)
-        return gen_tilde * kernel
-
-    # the doubling cap bounds the (2 * panels + 1) x 2^(N-1) node arrays above
-    o_tilde = adaptive_simpson(weighted_sum, t, 16, 12, rel_tol, "Sneddon quadrature stalled")
-    return vecs @ (o_tilde @ (vecs_inv @ psi))
-
-
-def o_covariance_qfi(
-    params: ModelParams,
-    t: float,
-    initial: DenseState,
-    wrt: str = "gamma",
-    rel_tol: float = 1e-10,
-) -> float:
+def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: str = "gamma") -> float:
     """QFI from the covariance of the time-integrated generator.
 
     O = int_0^t exp(-i H_eff s) G exp(i H_eff s) ds with G the derivative
     of -i H_eff (G = -(1/2) sum_i n_i for the rate, +i sum_i s^z_i for the
-    field).  The integral runs in the eigenbasis of H_eff through adaptive
-    composite Simpson, on each parity sector the initial state occupies
-    (G and H_eff are block diagonal in them); F = 4 (<O+O> - |<O>|^2) on
-    the normalized state.
+    field).  G and H_eff are block diagonal in the parity sectors.  On each
+    sector the initial state occupies, one eigendecomposition
+    H_eff = V diag(w) V^-1 gives both the evolved state V e^{-iwt} V^-1 psi0
+    and O in closed form, (V^-1 O V)_ab = (V^-1 G V)_ab t e^{-i d t/2}
+    sinc(d t/2) with d = w_a - w_b.  F = 4 (<O+O> - |<O>|^2) on the
+    normalized state.  Raises NumericalFault when an eigenbasis is
+    ill-conditioned, the state loses its norm, or F is not finite.
     """
     n = params.n_sites
     if n > MAX_QUADRATURE_SITES:
         raise ValueError(f"quadrature oracle capped at {MAX_QUADRATURE_SITES} sites")
+    if initial.n_sites != n:
+        raise ValueError("state size does not match params")
     occupied = _occupations(n)
     if wrt == "gamma":
         gen = -0.5 * occupied
@@ -257,13 +240,28 @@ def o_covariance_qfi(
     else:
         raise ValueError(f"unknown parameter {wrt!r}")
 
-    psi = evolve_dense(params, t, initial).amplitudes
+    psi = np.zeros(2**n, dtype=complex)
     o_psi = np.zeros_like(psi)
-    for rows in _occupied_sectors(initial):
-        o_psi[rows] = _integrated_generator_times(
-            _generator(params, rows), gen[rows], t, psi[rows], rel_tol
-        )
-    return float(4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2))
+    # at long times the kernel overflows; the checks below decide, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _occupied_sectors(initial):
+            vals, vecs = np.linalg.eig(_generator(params, rows))
+            cond = np.linalg.cond(vecs)
+            if cond > 1e8:
+                raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
+            vecs_inv = np.linalg.inv(vecs)
+            coeffs = np.exp(-1j * t * vals) * (vecs_inv @ initial.amplitudes[rows])
+            half = 0.5 * t * np.subtract.outer(vals, vals)
+            o_tilde = (vecs_inv * gen[rows]) @ vecs * (t * np.exp(-1j * half) * csinc(half))
+            psi[rows] = vecs @ coeffs
+            o_psi[rows] = vecs @ (o_tilde @ coeffs)
+        norm = _evolved_norm(psi, t)
+        psi /= norm
+        o_psi /= norm
+        qfi = 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
+    if not np.isfinite(qfi):
+        raise NumericalFault(f"Sneddon QFI is not finite ({qfi}) at t = {t}, {params}")
+    return float(qfi)
 
 
 def _sx_apply(state: DenseState) -> np.ndarray:

@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._entire import csinc, phi3
-from ._simpson import adaptive_simpson
-from .errors import NumericalFault
+from .errors import NumericalFault, QuadratureError
 from .quench import BogoliubovAmplitudes, _ground_pair, evolve_amplitudes, ising_ground_amplitudes
 from .spectral import (
     Mode,
@@ -129,10 +128,20 @@ def _closed_form_entries(mode: Mode, spec: ModeSpectrum, t):
 def _quadrature_entries(
     mode: Mode, spec: ModeSpectrum, t: float, rel_tol: float = 1e-10
 ) -> tuple[complex, complex, complex]:
-    """Adaptive composite Simpson for int_0^t e^{-iMs} sigma_z e^{iMs} ds."""
+    """Adaptive composite Simpson for int_0^t e^{-iMs} sigma_z e^{iMs} ds.
+
+    A test reference for the closed form.  The panel count doubles from 8
+    until two successive sums differ by at most rel_tol times the largest
+    entry of the newer one; after 16 doublings without that,
+    QuadratureError reports the last relative change.
+    """
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
 
-    def weighted_sum(s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def composite(panels: int) -> np.ndarray:
+        s = np.linspace(0.0, t, 2 * panels + 1)
+        w = np.ones(2 * panels + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
         c = np.cos(eps * s)
         m = -1j * s * csinc(eps * s)
         e11, e12, e21, e22 = c + m * alpha, m * beta, m * beta, c - m * alpha
@@ -142,10 +151,17 @@ def _quadrature_entries(
         g12 = e11 * f12 - e12 * f22
         g21 = e21 * f11 - e22 * f21
         g22 = e21 * f12 - e22 * f22
-        return weights @ np.stack([g11, g12, g21, g22], axis=-1)
+        return (w * (t / (2 * panels) / 3.0)) @ np.stack([g11, g12, g21, g22], axis=-1)
 
-    a, b, c, _ = adaptive_simpson(weighted_sum, t, 8, 16, rel_tol, "R_k quadrature stalled")
-    return complex(a), complex(b), complex(c)
+    prev = composite(8)
+    for doubling in range(1, 17):
+        cur = composite(8 * 2**doubling)
+        achieved = float(np.max(np.abs(cur - prev))) / max(float(np.max(np.abs(cur))), 1e-30)
+        if achieved <= rel_tol:
+            a, b, c, _ = cur
+            return complex(a), complex(b), complex(c)
+        prev = cur
+    raise QuadratureError("R_k quadrature stalled", achieved)
 
 
 def r_matrix(mode: Mode, spec: ModeSpectrum, t: float, method: str = "closed-form") -> RMatrix:
@@ -254,8 +270,14 @@ def _linear_entries(mode: Mode):
 
 def _grid_coefficients(params: ModelParams) -> ModeQfiCoefficient:
     """Long-time data of every grid mode, one array per field, ascending k."""
-    mode, spec = mode_system(params, momentum_grid(params.n_sites))
+    # an overflow to inf would pass the exceptional-point test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mode, spec = mode_system(params, momentum_grid(params.n_sites))
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+    if not all(np.all(np.isfinite(x)) for x in (alpha, beta, eps)):
+        raise NumericalFault(
+            f"mode spectrum is not finite at gamma = {params.gamma!r}, h = {params.h!r}"
+        )
     exceptional = np.abs(eps) ** 2 <= _EXCEPTIONAL_RTOL * (np.abs(alpha) ** 2 + beta * beta)
     if np.any(exceptional):
         raise NumericalFault(
@@ -301,7 +323,7 @@ def mode_qfi_coefficients(params: ModelParams) -> list[ModeQfiCoefficient]:
 def fbar(params: ModelParams) -> float:
     """Auxiliary sum Fbar = sum_k F_k of the time-free mode coefficients.
 
-    Raises NumericalFault when the sum is not finite.
+    Raises NumericalFault when the sum or the mode spectrum is not finite.
     """
     value = float(np.sum(_grid_coefficients(params).F_k))
     if not np.isfinite(value):
@@ -318,13 +340,16 @@ def critical_mode_coefficient(h: float, gamma: float) -> float:
     coefficient scales as (gamma_c - gamma)^{-2}.  Both are evaluated on
     the quench initial state, which at k_c is (1, -1)/sqrt(2).  Diverges
     at gamma = gamma_c exactly; a non-finite value (gamma so large that
-    alpha^2 overflows) raises NumericalFault.
+    eps^3 or alpha^2 overflows) raises NumericalFault.
     """
     gc = critical_gamma(h)
     if gamma == gc:
         raise ValueError("coefficient diverges exactly at gamma_c")
     mode, spec = critical_mode_system(h, gamma)
-    entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode, spec)
+    try:
+        entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode, spec)
+    except OverflowError:  # a Python complex power past the largest double
+        entries = (np.nan,) * 3
     value = float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)
     if not np.isfinite(value):
         raise NumericalFault(

@@ -140,6 +140,33 @@ class TestConfigValidation:
         assert result.exit_code == 2, result.output
         assert f"'{field}'" in result.output
 
+    @pytest.mark.parametrize("name", [e for e in experiments.EXPERIMENTS if e != "oracle-check"])
+    def test_missing_params_is_a_config_error(self, tmp_path, name):
+        # every runner but oracle-check reads required params
+        cfg = write_config(tmp_path / "c.json", {"experiment": name})
+        result = CliRunner().invoke(main, [name, "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "'params' is a required property" in result.output
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({**WITNESS, "params": {**WITNESS["params"], "sizes": [4.0, 6.0, 8.0]}}, "params/sizes/"),
+            ({"experiment": "critical-exponent", "params": {"h": 0.3, "log_offsets": {"num": 8.0}}},
+             "params/log_offsets/num"),
+            ({"experiment": "oracle-check", "params": {"quench_sizes": [4.0]}}, "params/quench_sizes/0"),
+            ({**SPECTRUM, "params": {**SPECTRUM["params"], "n_sites": 8.0}}, "params/n_sites"),
+            ({**QUENCH, "params": {**QUENCH["params"], "n_sites": 8.0}}, "params/n_sites"),
+        ],
+        ids=["witness-sizes", "critical-num", "oracle-sizes", "spectrum-n_sites", "quench-n_sites"],
+    )
+    def test_integral_floats_rejected(self, tmp_path, payload, field):
+        # JSON Schema's "integer" admits 8.0, which the runners cannot use as a size
+        cfg = write_config(tmp_path / "c.json", payload)
+        result = CliRunner().invoke(main, [payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"'{field}" in result.output and "is not of type 'integer'" in result.output
+
 
 class TestCliContract:
     def test_config_error_exit_code(self, tmp_path):
@@ -242,6 +269,19 @@ class TestCliContract:
         assert checks and all(c["ok"] for c in checks)
         csv_lines = (tmp_path / "oracle-check.csv").read_text().splitlines()
         assert csv_lines[0] == "check,delta,tolerance,ok"
+
+    def test_oracle_witness_off_the_time_grid(self, tmp_path):
+        # neither time is a multiple of 0.05; both sides must evolve to exactly t
+        params = {"quench_sizes": [], "witness_sizes": [4], "witness_gammas": [0.75],
+                  "witness_times": [0.03, 0.52]}
+        cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
+        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
+        assert [c["name"] for c in checks] == [
+            "witness[N=4,gamma=0.75,t=0.03]", "witness[N=4,gamma=0.75,t=0.52]"
+        ]
+        assert all(c["delta"] <= 1e-12 for c in checks)
 
     def test_quench_series_reports_growth_rate(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,14 @@ class TestFbar:
         with pytest.raises(NumericalFault, match="Fbar is not finite"):
             fbar(ModelParams(8, 0.6, 2.0))
 
+    @pytest.mark.parametrize("gamma", [1e160, 1e308])
+    def test_overflow_is_not_read_as_the_exceptional_point(self, gamma):
+        # |eps|^2 = inf is within any share of |alpha|^2 + beta^2 = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match=re.escape(f"not finite at gamma = {gamma!r}")):
+                fbar(ModelParams(8, 0.3, gamma))
+
     def test_density_converges_with_grid_refinement(self):
         h, gamma = 0.6, 1.6
         a = fbar(ModelParams(64, h, gamma)) / 64
@@ -268,6 +277,11 @@ class TestCriticalModeCoefficient:
         # alpha^2 overflows; the coefficient used to come back as nan
         with pytest.raises(NumericalFault, match="not finite"):
             critical_mode_coefficient(0.3, 1e160)
+
+    def test_power_overflow_raises_typed_error(self):
+        # eps**3 overflows, which Python complex arithmetic raises as OverflowError
+        with pytest.raises(NumericalFault, match="not finite"):
+            critical_mode_coefficient(0.3, 1e120)
 
     def test_finite_with_negative_decay_above(self):
         _, spec = critical_mode_system(0.6, 4.0)
