@@ -18,7 +18,6 @@ from .fitting import FitResult, fit_exponential_rate, fit_power_law
 from .pfaffian import pfaffian
 from .qfi import (
     ModeQfiCoefficient,
-    RMatrix,
     critical_mode_coefficient,
     fbar,
     mode_qfi_coefficients,
@@ -68,7 +67,6 @@ __all__ = [
     "NoCriticalPointError",
     "NumericalFault",
     "QuadratureError",
-    "RMatrix",
     "ToleranceFailure",
     "critical_gamma",
     "critical_mode_coefficient",

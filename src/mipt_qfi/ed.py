@@ -72,9 +72,6 @@ class DenseState:
         if self.amplitudes.shape != (2**self.n_sites,):
             raise ValueError("amplitude vector has wrong length")
 
-    def normalized(self) -> "DenseState":
-        return DenseState(self.amplitudes / np.linalg.norm(self.amplitudes), self.n_sites)
-
 
 def _site_mask(n: int, site: int) -> int:
     """The bit of a basis index that holds `site`; s^x_site flips it."""
@@ -223,7 +220,10 @@ def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: st
     sector the initial state occupies, one eigendecomposition
     H_eff = V diag(w) V^-1 gives both the evolved state V e^{-iwt} V^-1 psi0
     and O in closed form, (V^-1 O V)_ab = (V^-1 G V)_ab t e^{-i d t/2}
-    sinc(d t/2) with d = w_a - w_b.  F = 4 (<O+O> - |<O>|^2) on the
+    sinc(d t/2) with d = w_a - w_b.  O acts on the evolved coefficients
+    e^{-i w_b t} c_b; the product is applied to the unevolved c_b as the
+    bounded kernel (e^{-i w_b t} - e^{-i w_a t}) / (i d), since Im w <= 0,
+    and in the csinc form where |d t| < 1.  F = 4 (<O+O> - |<O>|^2) on the
     normalized state.  Raises NumericalFault when an eigenbasis is
     ill-conditioned, the state loses its norm, or F is not finite.
     """
@@ -242,7 +242,7 @@ def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: st
 
     psi = np.zeros(2**n, dtype=complex)
     o_psi = np.zeros_like(psi)
-    # at long times the kernel overflows; the checks below decide, quietly
+    # at extreme times O itself overflows; the checks below decide, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in _occupied_sectors(initial):
             vals, vecs = np.linalg.eig(_generator(params, rows))
@@ -250,11 +250,18 @@ def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: st
             if cond > 1e8:
                 raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
             vecs_inv = np.linalg.inv(vecs)
-            coeffs = np.exp(-1j * t * vals) * (vecs_inv @ initial.amplitudes[rows])
-            half = 0.5 * t * np.subtract.outer(vals, vals)
-            o_tilde = (vecs_inv * gen[rows]) @ vecs * (t * np.exp(-1j * half) * csinc(half))
-            psi[rows] = vecs @ coeffs
-            o_psi[rows] = vecs @ (o_tilde @ coeffs)
+            coeffs = vecs_inv @ initial.amplitudes[rows]
+            phase = np.exp(-1j * t * vals)
+            gap = np.subtract.outer(vals, vals)
+            near = np.abs(gap * t) < 1.0
+            half = np.where(near, 0.5 * t * gap, 0.0)
+            kernel = np.where(
+                near,
+                t * np.exp(-1j * half) * csinc(half) * phase,
+                (phase - phase[:, None]) / (1j * np.where(near, 1.0, gap)),
+            )
+            psi[rows] = vecs @ (phase * coeffs)
+            o_psi[rows] = vecs @ (((vecs_inv * gen[rows]) @ vecs * kernel) @ coeffs)
         norm = _evolved_norm(psi, t)
         psi /= norm
         o_psi /= norm

@@ -193,7 +193,7 @@ def _run_quench_series(params: dict):
     n = len(ts)
     late_start = n - max(3, int(np.ceil(window * n)))
     start = max(stable_window_start(ts, fs), late_start)
-    fit = fit_exponential_rate(ts[start:], fs[start:], window=1.0)
+    fit = fit_exponential_rate(ts[start:], fs[start:])
     fits = [{"name": "growth_rate", **fit.as_dict()},
             {"name": "two_gamma_reference", "value": 2.0 * params["gamma"]}]
     return "t,F", rows, fits, []
@@ -202,16 +202,16 @@ def _run_quench_series(params: dict):
 # -------------------------------------------------------------- fbar-sweep
 
 
-def default_fbar_gammas(h: float, per_side: int = 40, span: float = 0.5,
-                        min_ratio: float = 0.025) -> list[float]:
+def default_fbar_gammas(h: float, per_side: int = 40) -> list[float]:
     """Geometric clustering toward gamma_c from both sides, plus gamma_c.
 
-    The clustering floor keeps the spacing near gamma_c coarser than the
-    finite-size shift of the peak, so the sweep maximum lands on the grid
-    point nearest gamma_c (which is gamma_c itself).
+    Offsets run from 0.5 gamma_c down to 0.025 of that.  The clustering
+    floor keeps the spacing near gamma_c coarser than the finite-size
+    shift of the peak, so the sweep maximum lands on the grid point
+    nearest gamma_c (which is gamma_c itself).
     """
     gc = critical_gamma(h)
-    offsets = span * gc * np.logspace(0.0, np.log10(min_ratio), per_side)
+    offsets = 0.5 * gc * np.logspace(0.0, np.log10(0.025), per_side)
     below = np.sort(gc - offsets)
     above = np.sort(gc + offsets)
     return [float(g) for g in np.concatenate([below, [gc], above])]

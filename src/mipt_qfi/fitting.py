@@ -50,25 +50,19 @@ def fit_power_law(xs, ys) -> FitResult:
     return FitResult(slope, intercept, resid, tuple(float(x) for x in xs))
 
 
-def fit_exponential_rate(ts, fs, window: float = 0.3) -> FitResult:
-    """Rate of F ~ exp(r t) from the late fraction of the samples.
+def fit_exponential_rate(ts, fs) -> FitResult:
+    """Rate of F ~ exp(r t) by least squares on (t, log F) over every sample.
 
-    window is the trailing fraction used (default last 30%), never fewer
-    than 3 points.
+    Callers pick the samples; quench-series passes its late window.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
-    if not 0.0 < window <= 1.0:
-        raise ValueError(f"window fraction must be in (0, 1], got {window}")
+    if ts.size < 3:
+        raise ValueError(f"need at least 3 points, got {ts.size}")
     if np.any(fs <= 0):
         raise ValueError("exponential fit needs strictly positive data")
-    n_used = max(3, int(math.ceil(window * ts.size)))
-    if n_used > ts.size:
-        raise ValueError(f"window of {n_used} points exceeds the {ts.size} samples")
-    t_w = ts[ts.size - n_used :]
-    f_w = fs[ts.size - n_used :]
-    slope, intercept, resid = _line_fit(t_w, np.log(f_w))
-    return FitResult(slope, intercept, resid, tuple(float(t) for t in t_w))
+    slope, intercept, resid = _line_fit(ts, np.log(fs))
+    return FitResult(slope, intercept, resid, tuple(float(t) for t in ts))
 
 
 def stable_window_start(ts, fs, rel_tol: float = 0.05) -> int:

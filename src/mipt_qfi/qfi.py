@@ -48,7 +48,7 @@ import numpy as np
 
 from ._entire import csinc, phi3
 from .errors import NumericalFault, QuadratureError
-from .quench import BogoliubovAmplitudes, _ground_pair, evolve_amplitudes, ising_ground_amplitudes
+from .quench import _ground_pair, evolve_amplitudes, ising_ground_amplitudes
 from .spectral import (
     Mode,
     ModelParams,
@@ -60,7 +60,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "RMatrix",
     "ModeQfiCoefficient",
     "r_matrix",
     "qfi_quench",
@@ -81,38 +80,24 @@ _EXCEPTIONAL_RTOL = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class RMatrix:
-    """Traceless 2x2 generator kernel [[A, B], [C, -A]] built at time t."""
-
-    A: complex
-    B: complex
-    C: complex
-    t: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.A, self.B], [self.C, -self.A]])
-
-
-@dataclass(frozen=True)
 class ModeQfiCoefficient:
-    """Time-free long-time data of one mode (arrays over the grid internally).
+    """Time-free long-time data of the grid modes, one array per field, ascending k.
 
-    Gamma is the Im <= 0 spectral branch; the mode's QFI approaches F_k
+    Gamma is the Im <= 0 spectral branch; each mode's QFI approaches F_k
     with corrections decaying like exp(4 Gamma t).  Modes without decay
     contrast (gamma = 0, or the critical momentum below gamma_c) never
-    saturate; they carry the degenerate flag and F_k then stores the
-    t^2-law coefficient evaluated on the quench initial state.
+    saturate; they carry the degenerate flag, zero tilde entries, and F_k
+    then stores the t^2-law coefficient evaluated on the quench initial
+    state.
     """
 
-    k: float
-    F_k: float
-    Gamma: float
-    tilde_A: complex
-    tilde_B: complex
-    tilde_C: complex
-    tilde_u: complex
-    tilde_v: complex
-    degenerate: bool = False
+    k: np.ndarray
+    F_k: np.ndarray
+    Gamma: np.ndarray
+    tilde_A: np.ndarray
+    tilde_B: np.ndarray
+    tilde_C: np.ndarray
+    degenerate: np.ndarray
 
 
 def _closed_form_entries(mode: Mode, spec: ModeSpectrum, t):
@@ -164,17 +149,15 @@ def _quadrature_entries(
     raise QuadratureError("R_k quadrature stalled", achieved)
 
 
-def r_matrix(mode: Mode, spec: ModeSpectrum, t: float, method: str = "closed-form") -> RMatrix:
-    """Generator kernel R_k(t), by closed form or by Simpson quadrature."""
+def r_matrix(mode: Mode, spec: ModeSpectrum, t: float) -> np.ndarray:
+    """Generator kernel R_k(t) = [[A, B], [C, -A]] in closed form, shape (..., 2, 2).
+
+    The leading axes are those of the mode arrays: (2, 2) for one momentum.
+    """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if method == "closed-form":
-        a, b, c = _closed_form_entries(mode, spec, t)
-    elif method == "quadrature":
-        a, b, c = _quadrature_entries(mode, spec, t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return RMatrix(a, b, c, t)
+    a, b, c = _closed_form_entries(mode, spec, t)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, -a], axis=-1)], axis=-2)
 
 
 def _off_diagonal(entries, u, v):
@@ -190,13 +173,13 @@ def _off_diagonal(entries, u, v):
     return -v * (a * u + b * v) + u * (c * u - a * v)
 
 
-def qfi_quench(params: ModelParams, t: float, amps0: BogoliubovAmplitudes | None = None) -> float:
+def qfi_quench(params: ModelParams, t: float) -> float:
     """QFI for estimating gamma at time t after the monitoring quench.
 
-    Starts from the gamma = 0 ground state unless amps0 is given, evolves
-    each mode pair under M_k, and sums the per-mode covariance of R_k.
-    The additive constant in the generator cancels in the covariance and
-    never enters.  Raises NumericalFault when round-off of the evolved
+    Starts from the gamma = 0 ground state, evolves each mode pair under
+    M_k, and sums the per-mode covariance of R_k.  The additive constant
+    in the generator cancels in the covariance and never enters.  Raises
+    NumericalFault when round-off of the evolved
     pairs, amplified by the growing entries of R_k, could exceed 1e-6 of
     the result, or when F or the floor is not finite: the estimated floor
     is sum_k (2 |off_k| n_k + n_k^2) with n_k = eps_mach * max(|A_k|,
@@ -204,8 +187,7 @@ def qfi_quench(params: ModelParams, t: float, amps0: BogoliubovAmplitudes | None
     """
     if params.boundary != "periodic":
         raise ValueError("quench QFI is defined for the periodic chain")
-    if amps0 is None:
-        amps0 = ising_ground_amplitudes(params)
+    amps0 = ising_ground_amplitudes(params)
     # past the floor the entries overflow; the check below decides, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         amps = evolve_amplitudes(amps0, params, t)
@@ -237,23 +219,27 @@ def _assert_factorization(mode: Mode, spec: ModeSpectrum, tildes, check, tol: fl
     """Check the exact split of R into linear + constant + growing + decaying.
 
     Fixes the signs of the tilde coefficients by identity rather than by
-    asymptotics, so the check is sharp at any probe time.  Runs on the
-    modes where check is True and names the worst one.
+    asymptotics, so the check is sharp at any probe time.  The probe times
+    0.7 and 1.9 are divided by max(1, |eps_k|), which keeps exp(2 |Gamma_k| t)
+    bounded at any rate.  Runs on the modes where check is True and names
+    the worst one.
     """
     alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
     ta, tb, tc = tildes
-    t = np.array([[0.7], [1.9]])
-    a, b, c = _closed_form_entries(mode, spec, t)
-    ep, em = np.exp(2j * eps * t), np.exp(-2j * eps * t)
-    lin = alpha / (eps * eps) * t
-    const = 0.5j * beta / (eps * eps)
-    resid = np.max(np.abs([
-        a - (alpha * lin + ta * (ep - em)),
-        b - (beta * lin + const + tb * ep - tc * em),
-        c - (beta * lin - const + tc * ep - tb * em),
-    ]), axis=0)
-    scale = np.maximum(np.max(np.abs([a, b, c]), axis=0), 1.0)
-    ratio = np.max(np.where(check, resid / scale, 0.0), axis=0)
+    t = np.array([[0.7], [1.9]]) / np.maximum(1.0, np.abs(eps))
+    # an overflow leaves a nan residual, which the test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = _closed_form_entries(mode, spec, t)
+        ep, em = np.exp(2j * eps * t), np.exp(-2j * eps * t)
+        lin = alpha / (eps * eps) * t
+        const = 0.5j * beta / (eps * eps)
+        resid = np.max(np.abs([
+            a - (alpha * lin + ta * (ep - em)),
+            b - (beta * lin + const + tb * ep - tc * em),
+            c - (beta * lin - const + tc * ep - tb * em),
+        ]), axis=0)
+        scale = np.maximum(np.max(np.abs([a, b, c]), axis=0), 1.0)
+        ratio = np.max(np.where(check, resid / scale, 0.0), axis=0)
     worst = int(np.argmax(ratio))
     if not ratio[worst] <= tol:
         raise NumericalFault(
@@ -268,8 +254,16 @@ def _linear_entries(mode: Mode):
     return lin * mode.alpha, lin * mode.beta, lin * mode.beta
 
 
-def _grid_coefficients(params: ModelParams) -> ModeQfiCoefficient:
-    """Long-time data of every grid mode, one array per field, ascending k."""
+def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
+    """Long-time decomposition data of the grid modes, one array per field.
+
+    For gamma > 0 generic grids every mode has decay contrast and F_k is
+    the mode's saturation value; sum F_k is then the late-time plateau of
+    the full QFI, approached as the exp(4 Gamma_k t) corrections die out.
+    Real-eigenvalue modes are flagged degenerate (t^2 law instead).
+    Raises NumericalFault when gamma = gamma_c puts the exceptional point
+    eps = 0 on a grid momentum, where the plateau diverges.
+    """
     # an overflow to inf would pass the exceptional-point test below
     with np.errstate(over="ignore", invalid="ignore"):
         mode, spec = mode_system(params, momentum_grid(params.n_sites))
@@ -285,7 +279,10 @@ def _grid_coefficients(params: ModelParams) -> ModeQfiCoefficient:
             f"gamma = gamma_c = {critical_gamma(params.h):.6g}, where the QFI plateau diverges"
         )
     degenerate = np.abs(spec.Gamma) <= DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(eps))
-    tildes = _tilde_entries(mode, spec)
+    # eps^3 overflows from gamma ~ 1e103 on; the tilde entries then read 0
+    # (their true size is below 1e-300) and the factorization check decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        tildes = _tilde_entries(mode, spec)
     _assert_factorization(mode, spec, tildes, ~degenerate)
     # dominant eigenvector of M_k, for the larger-Im eigenvalue -eps; its
     # first entry is real and positive since beta > 0
@@ -301,23 +298,9 @@ def _grid_coefficients(params: ModelParams) -> ModeQfiCoefficient:
         mode.k,
         np.where(degenerate, f_t2, f_limit),
         spec.Gamma,
-        *(np.where(degenerate, 0j, x) for x in (*tildes, wu, wv)),
+        *(np.where(degenerate, 0j, x) for x in tildes),
         degenerate,
     )
-
-
-def mode_qfi_coefficients(params: ModelParams) -> list[ModeQfiCoefficient]:
-    """Long-time decomposition data for every grid mode, ascending k.
-
-    For gamma > 0 generic grids every mode has decay contrast and F_k is
-    the mode's saturation value; sum F_k is then the late-time plateau of
-    the full QFI, approached as the exp(4 Gamma_k t) corrections die out.
-    Real-eigenvalue modes are flagged degenerate (t^2 law instead).
-    Raises NumericalFault when gamma = gamma_c puts the exceptional point
-    eps = 0 on a grid momentum, where the plateau diverges.
-    """
-    columns = (x.tolist() for x in vars(_grid_coefficients(params)).values())
-    return [ModeQfiCoefficient(*row) for row in zip(*columns)]
 
 
 def fbar(params: ModelParams) -> float:
@@ -325,7 +308,7 @@ def fbar(params: ModelParams) -> float:
 
     Raises NumericalFault when the sum or the mode spectrum is not finite.
     """
-    value = float(np.sum(_grid_coefficients(params).F_k))
+    value = float(np.sum(mode_qfi_coefficients(params).F_k))
     if not np.isfinite(value):
         raise NumericalFault(f"Fbar is not finite ({value}) at {params}")
     return value

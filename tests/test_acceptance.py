@@ -12,7 +12,7 @@ import pytest
 from mipt_qfi import ed
 from mipt_qfi.experiments import run_experiment
 from mipt_qfi.pfaffian import pfaffian
-from mipt_qfi.qfi import fbar, qfi_quench, r_matrix
+from mipt_qfi.qfi import _quadrature_entries, fbar, qfi_quench, r_matrix
 from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 from mipt_qfi.realspace import _kernel, evolve, init_state, witness_qfi
 from mipt_qfi.spectral import ModelParams, critical_gamma, mode_system
@@ -201,10 +201,11 @@ class TestCriterion7StructuralInvariants:
             t = rng.uniform(0.0, 4.0)
             p = ModelParams(8, h, gamma)
             mode, spec = mode_system(p, k)
-            rc = r_matrix(mode, spec, t, "closed-form")
-            rq = r_matrix(mode, spec, t, "quadrature")
-            scale = max(1.0, abs(rc.A), abs(rc.B), abs(rc.C))
-            delta = max(abs(rc.A - rq.A), abs(rc.B - rq.B), abs(rc.C - rq.C)) / scale
+            r = r_matrix(mode, spec, t)
+            rc = (r[0, 0], r[0, 1], r[1, 0])
+            rq = _quadrature_entries(mode, spec, t)
+            scale = max(1.0, *(abs(x) for x in rc))
+            delta = max(abs(a - b) for a, b in zip(rc, rq)) / scale
             worst = max(worst, delta)
         report(7, worst <= 1e-8, f"(a) closed-form vs quadrature over 200 samples: {worst:.2e} <= 1e-8")
         assert worst <= 1e-8

@@ -228,15 +228,24 @@ class TestQfiOracles:
         f_fd = qfi_finite_difference(p, t, dense_vacuum(4))
         assert o_covariance_qfi(p, t, dense_vacuum(4)) == pytest.approx(f_fd, rel=1e-6)
 
-    def test_non_finite_result_raises(self):
-        from mipt_qfi.errors import NumericalFault
-
-        # e^{-i d t/2} sinc(d t/2) overflows for decay-rate gaps d ~ 100 at t = 30
+    def test_large_decay_gap_matches_finite_difference(self):
+        # e^{-i d t/2} sinc(d t/2) on the evolved coefficients used to
+        # overflow for decay-rate gaps d ~ 100 at t = 30
         p = ModelParams(4, 0.3, 100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            value = o_covariance_qfi(p, 30.0, dense_vacuum(4))
+        assert value == pytest.approx(qfi_finite_difference(p, 30.0, dense_vacuum(4)), rel=1e-6)
+
+    def test_non_finite_result_raises(self):
+        from mipt_qfi.errors import NumericalFault
+
+        # without decay the time integral grows like t, and t^2 = 1e400 overflows
+        p = ModelParams(4, 0.3, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NumericalFault, match="not finite"):
-                o_covariance_qfi(p, 30.0, dense_vacuum(4))
+                o_covariance_qfi(p, 1e200, dense_vacuum(4))
 
 
 class TestSxObservables:

@@ -1,9 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipt_qfi.experiments import _run_quench_series
 from mipt_qfi.fitting import fit_exponential_rate, fit_power_law, stable_window_start
+
+QUENCH_SERIES = Path(__file__).resolve().parents[1] / "docs" / "configs" / "quench-series.json"
 
 
 class TestPowerLaw:
@@ -48,18 +54,23 @@ class TestExponentialRate:
         ts = np.linspace(0.0, 3.0, 20)
         fit = fit_exponential_rate(ts, np.exp(4.0 * ts))
         assert fit.value == pytest.approx(4.0, abs=1e-10)
+        assert fit.window == tuple(ts)
 
     def test_window_restricts_to_late_samples(self):
-        ts = np.linspace(0.0, 10.0, 50)
-        fs = np.where(ts < 5.0, 1.0 + ts, np.exp(0.5 * (ts - 5.0)) * 6.0)
-        fit = fit_exponential_rate(ts, fs, window=0.3)
-        assert min(fit.window) >= ts[50 - 15]
-        assert fit.value == pytest.approx(0.5, abs=1e-10)
+        # quench-series applies fit_window before the fit: the growth-rate
+        # window is a trailing run of the times that starts no earlier than
+        # the trailing fit_window fraction
+        params = dict(json.loads(QUENCH_SERIES.read_text())["params"], n_sites=16)
+        ts = params["times"]
+        n = len(ts)
+        for fit_window in (0.1, 0.3, 0.6, 1.0):
+            _, _, fits, _ = _run_quench_series(dict(params, fit_window=fit_window))
+            window = next(f for f in fits if f["name"] == "growth_rate")["window"]
+            assert window == ts[n - len(window):]
+            assert window[0] >= ts[n - max(3, int(np.ceil(fit_window * n)))]
 
-    def test_rejects_bad_window_and_data(self):
+    def test_rejects_bad_data(self):
         ts = np.linspace(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            fit_exponential_rate(ts, np.exp(ts), window=0.0)
         with pytest.raises(ValueError):
             fit_exponential_rate(ts, -np.exp(ts))
         with pytest.raises(ValueError):
