@@ -13,7 +13,6 @@ same config are byte-identical apart from the wall_time_s field.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -30,23 +29,7 @@ from .qfi import critical_mode_coefficient, fbar, qfi_quench
 from .realspace import entanglement_depth, evolve, init_state, witness_qfi
 from .spectral import ModelParams, critical_gamma, spectrum_table
 
-__all__ = ["EXPERIMENTS", "load_config", "validate_config", "run_experiment", "RunResult"]
-
-
-@functools.cache
-def _validator():
-    """The config-schema validator, checked against its metaschema once."""
-    import jsonschema
-
-    schema = json.loads((Path(__file__).resolve().parent / "config.schema.json").read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    # strict JSON types: 8.0 is no integer and NaN or Infinity no number
-    types = cls.TYPE_CHECKER.redefine_many({
-        "integer": lambda _, x: type(x) is int,
-        "number": lambda _, x: type(x) is int or (isinstance(x, float) and math.isfinite(x)),
-    })
-    return jsonschema.validators.extend(cls, type_checker=types)(schema)
+__all__ = ["EXPERIMENTS", "PARAMS", "load_config", "validate_config", "run_experiment", "RunResult"]
 
 
 def load_config(path: str | Path) -> dict:
@@ -59,39 +42,164 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _strictly_increasing(values, name: str) -> None:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ConfigError(f"{name}: grid must be non-empty")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        raise ConfigError(f"{name}: grid must be strictly increasing")
+# ------------------------------------------------------------ config table
+#
+# PARAMS gives each experiment's params as field -> (check, default), with
+# REQUIRED for a field that has none.  A check takes (value, path), raises
+# ConfigError naming the path, and returns the value; an object check
+# returns a new dict with every default filled in.  Types are strict JSON
+# types: 8.0 is no integer, NaN and +-Infinity are no number, and a bool is
+# neither; float subclasses such as np.float64 count as numbers.
+
+REQUIRED = object()
+
+
+def _fault(path: str, message: str) -> ConfigError:
+    return ConfigError(f"config field '{path or '<root>'}': {message}")
+
+
+def _typed(cls: type, name: str):
+    def check(x, path):
+        if not isinstance(x, cls):
+            raise _fault(path, f"{x!r} is not of type '{name}'")
+        return x
+    return check
+
+
+def _number(*, integer=False, minimum=None, exclusive_minimum=None, maximum=None, even=False):
+    kind = "integer" if integer else "number"
+
+    def check(x, path):
+        if not (type(x) is int or (not integer and isinstance(x, float) and math.isfinite(x))):
+            raise _fault(path, f"{x!r} is not of type '{kind}'")
+        if minimum is not None and x < minimum:
+            raise _fault(path, f"{x!r} is less than the minimum of {minimum!r}")
+        if exclusive_minimum is not None and x <= exclusive_minimum:
+            raise _fault(path, f"{x!r} is less than or equal to the minimum of {exclusive_minimum!r}")
+        if maximum is not None and x > maximum:
+            raise _fault(path, f"{x!r} is greater than the maximum of {maximum!r}")
+        if even and x % 2:
+            raise _fault(path, f"{x!r} is not even")
+        return x
+    return check
+
+
+def _array(item, *, min_items=0, increasing=False):
+    def check(xs, path):
+        _typed(list, "array")(xs, path)
+        if len(xs) < min_items:
+            raise _fault(path, f"{xs!r} {'should be non-empty' if min_items == 1 else 'is too short'}")
+        for i, x in enumerate(xs):
+            item(x, f"{path}/{i}")
+        if increasing and any(b <= a for a, b in zip(xs, xs[1:])):
+            raise _fault(path, "grid must be strictly increasing")
+        return xs
+    return check
+
+
+def _choice(*options):
+    def check(x, path):
+        if x not in options:
+            raise _fault(path, f"{x!r} is not one of {list(options)!r}")
+        return x
+    return check
+
+
+def _object(fields: dict):
+    def check(obj, path):
+        _typed(dict, "object")(obj, path)
+        for name, (_, default) in fields.items():
+            if default is REQUIRED and name not in obj:
+                raise _fault(path, f"{name!r} is a required property")
+        extra = sorted(k for k in obj if k not in fields)
+        if extra:
+            names = ", ".join(map(repr, extra))
+            raise _fault(path, f"Additional properties are not allowed ({names} "
+                               f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        return {name: chk(obj[name], f"{path}/{name}".lstrip("/")) if name in obj else default
+                for name, (chk, default) in fields.items()}
+    return check
+
+
+_SITES = _number(integer=True, minimum=4, even=True)
+_RATE = _number(minimum=0)
+_TOLERANCE = _number(exclusive_minimum=0)
+_LOG_OFFSETS = _object({
+    "min": (_number(), -6.0),
+    "max": (_number(), -2.0),
+    "num": (_number(integer=True, minimum=4), 40),
+})
+
+PARAMS = {
+    "spectrum": _object({
+        "n_sites": (_SITES, REQUIRED),
+        "h": (_number(), REQUIRED),
+        "gamma": (_RATE, REQUIRED),
+    }),
+    "witness-scaling": _object({
+        "sizes": (_array(_SITES, min_items=3, increasing=True), REQUIRED),
+        "gamma": (_RATE, REQUIRED),
+        "measure_time": (_number(exclusive_minimum=0), 7.5),
+        "dt": (_number(exclusive_minimum=0), 0.05),
+        "initial_kind": (_choice("vacuum", "hermitian-ground"), "hermitian-ground"),
+        "initial_h": (_number(), 0.0),
+        "time_sensitivity": (_typed(bool, "boolean"), True),
+    }),
+    "quench-series": _object({
+        "n_sites": (_SITES, REQUIRED),
+        "h": (_number(), REQUIRED),
+        "gamma": (_RATE, REQUIRED),
+        "times": (_array(_number(exclusive_minimum=0), min_items=3, increasing=True), REQUIRED),
+        "fit_window": (_number(exclusive_minimum=0, maximum=1), 0.3),
+    }),
+    "fbar-sweep": _object({
+        "h": (_number(), REQUIRED),
+        "n_sites": (_SITES, 512),
+        # None: default_fbar_gammas(h, points_per_side)
+        "gammas": (_array(_RATE, min_items=1, increasing=True), None),
+        "points_per_side": (_number(integer=True, minimum=3), 40),
+    }),
+    "critical-exponent": _object({
+        "h": (_number(), REQUIRED),
+        "log_offsets": (_LOG_OFFSETS, _LOG_OFFSETS({}, "")),
+    }),
+    "oracle-check": _object({
+        "quench_sizes": (_array(_number(integer=True, minimum=4, maximum=10, even=True)), [4, 6]),
+        "hs": (_array(_number()), [0.3]),
+        "gammas": (_array(_RATE), [0.5, 2.0]),
+        "times": (_array(_number(minimum=0)), [0.5, 1.5]),
+        "witness_sizes": (_array(_number(integer=True, minimum=4, maximum=12, even=True)), [4, 6]),
+        "witness_gammas": (_array(_RATE), [0.75, 4.5]),
+        "witness_times": (_array(_number(minimum=0)), [0.5, 2.0]),
+        "tol_quench": (_TOLERANCE, 1e-5),
+        "tol_ed": (_TOLERANCE, 1e-6),
+        "tol_witness": (_TOLERANCE, 1e-6),
+    }),
+}
+
+_TOP = _object({
+    "experiment": (_choice(*PARAMS), REQUIRED),
+    "params": (_typed(dict, "object"), {}),
+    "output_path": (_typed(str, "string"), "."),
+})
 
 
 def validate_config(config: dict) -> dict:
-    """Schema validation plus cross-field grid checks; returns the config."""
-    from jsonschema.exceptions import best_match
+    """Field checks from PARAMS plus cross-field checks.
 
-    error = best_match(_validator().iter_errors(config))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config field '{path}': {error.message}")
+    Returns a new config whose params carry every default; the given
+    config is left as it is.
+    """
+    checked = _TOP(config, "")
+    exp = checked["experiment"]
+    if "params" not in config and exp != "oracle-check":
+        raise _fault("", "'params' is a required property")
+    params = checked["params"] = PARAMS[exp](checked["params"], "params")
 
-    exp = config["experiment"]
-    params = config.get("params", {})
-    if exp == "witness-scaling":
-        _strictly_increasing(params["sizes"], "params/sizes")
-        for n in params["sizes"]:
-            if n % 2 or n < 4:
-                raise ConfigError(f"params/sizes: sizes must be even and >= 4, got {n}")
-    if exp == "quench-series":
-        _strictly_increasing(params["times"], "params/times")
-    if exp == "fbar-sweep" and "gammas" in params:
-        _strictly_increasing(params["gammas"], "params/gammas")
     if exp in ("fbar-sweep", "critical-exponent") and abs(params["h"]) >= 1.0:
         raise ConfigError(f"params/h: |h| must be < 1 for {exp}, got {params['h']}")
     if exp == "critical-exponent":
-        off = params.get("log_offsets", {})
-        lo, hi = off.get("min", -6.0), off.get("max", -2.0)
+        lo, hi = params["log_offsets"]["min"], params["log_offsets"]["max"]
         if lo >= hi:
             raise ConfigError("params/log_offsets: min must be below max")
         gc = critical_gamma(params["h"])
@@ -100,7 +208,7 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"params/log_offsets: max must be below log(gamma_c) = {math.log(gc)!r}")
         if not gc - math.exp(lo) < gc < gc + math.exp(lo):
             raise ConfigError(f"params/log_offsets: min = {lo!r} leaves gamma = gamma_c in double precision")
-    return config
+    return checked
 
 
 def _fmt(x) -> str:
@@ -160,14 +268,13 @@ def _witness_series(n: int, gamma: float, times: list[float], dt: float, kind: s
 def _run_witness(params: dict):
     sizes = list(params["sizes"])
     gamma = params["gamma"]
-    t_measure = params.get("measure_time", 7.5)
-    dt = params.get("dt", 0.05)
-    kind = params.get("initial_kind", "hermitian-ground")
-    h0 = params.get("initial_h", 0.0)
-    sensitivity = params.get("time_sensitivity", True)
-    times = [0.8 * t_measure, t_measure, 1.2 * t_measure] if sensitivity else [t_measure]
+    t_measure = params["measure_time"]
+    times = [0.8 * t_measure, t_measure, 1.2 * t_measure] if params["time_sensitivity"] else [t_measure]
 
-    series = [_witness_series(n, gamma, times, dt, kind, h0) for n in sizes]
+    series = [
+        _witness_series(n, gamma, times, params["dt"], params["initial_kind"], params["initial_h"])
+        for n in sizes
+    ]
     main_idx = times.index(t_measure)
     fs = [s[main_idx] for s in series]
     rows = [(n, f, f / n, entanglement_depth(f, n)) for n, f in zip(sizes, fs)]
@@ -185,7 +292,7 @@ def _run_witness(params: dict):
 def _run_quench_series(params: dict):
     p = ModelParams(params["n_sites"], params["h"], params["gamma"], "periodic")
     ts = list(params["times"])
-    window = params.get("fit_window", 0.3)
+    window = params["fit_window"]
     fs = [qfi_quench(p, float(t)) for t in ts]
     rows = list(zip(ts, fs))
     # transient exclusion: start at the stabilized slope, but never earlier
@@ -202,7 +309,7 @@ def _run_quench_series(params: dict):
 # -------------------------------------------------------------- fbar-sweep
 
 
-def default_fbar_gammas(h: float, per_side: int = 40) -> list[float]:
+def default_fbar_gammas(h: float, per_side: int) -> list[float]:
     """Geometric clustering toward gamma_c from both sides, plus gamma_c.
 
     Offsets run from 0.5 gamma_c down to 0.025 of that.  The clustering
@@ -219,9 +326,8 @@ def default_fbar_gammas(h: float, per_side: int = 40) -> list[float]:
 
 def _run_fbar(params: dict):
     h = params["h"]
-    n_sites = params.get("n_sites", 512)
-    gammas = params.get("gammas") or default_fbar_gammas(h, params.get("points_per_side", 40))
-    vals = [fbar(ModelParams(n_sites, h, float(g), "periodic")) for g in gammas]
+    gammas = params["gammas"] or default_fbar_gammas(h, params["points_per_side"])
+    vals = [fbar(ModelParams(params["n_sites"], h, float(g), "periodic")) for g in gammas]
     rows = list(zip(gammas, vals))
     gc = critical_gamma(h)
     peak = gammas[int(np.argmax(vals))]
@@ -241,9 +347,8 @@ def _run_fbar(params: dict):
 
 def _run_critical(params: dict):
     h = params["h"]
-    off = params.get("log_offsets", {})
-    lo, hi, num = off.get("min", -6.0), off.get("max", -2.0), off.get("num", 40)
-    offsets = np.exp(np.linspace(lo, hi, num))
+    off = params["log_offsets"]
+    offsets = np.exp(np.linspace(off["min"], off["max"], off["num"]))
     gc = critical_gamma(h)
 
     below = [critical_mode_coefficient(h, gc - float(d)) for d in offsets]
@@ -261,37 +366,34 @@ def _run_critical(params: dict):
 
 
 def _run_oracle(params: dict):
-    tol_modes = params.get("tol_quench", 1e-5)
-    tol_ed = params.get("tol_ed", 1e-6)
-    tol_wit = params.get("tol_witness", 1e-6)
     checks = []
 
     def add(name: str, delta: float, tol: float):
         checks.append({"name": name, "delta": delta, "tolerance": tol, "ok": bool(delta <= tol)})
 
-    for n in params.get("quench_sizes", [4, 6]):
-        for h in params.get("hs", [0.3]):
-            for g in params.get("gammas", [0.5, 2.0]):
+    for n in params["quench_sizes"]:
+        for h in params["hs"]:
+            for g in params["gammas"]:
                 p = ModelParams(n, h, g, "periodic")
                 gs, _ = ed.dense_ground_state(p)
-                for t in params.get("times", [0.5, 1.5]):
+                for t in params["times"]:
                     f_modes = qfi_quench(p, t)
                     f_fd = ed.qfi_finite_difference(p, t, gs)
                     f_sn = ed.o_covariance_qfi(p, t, gs)
                     scale = max(abs(f_fd), 1e-12)
                     tag = f"quench[N={n},h={h},gamma={g},t={t}]"
-                    add(f"{tag} modes_vs_fd", abs(f_modes - f_fd) / scale, tol_modes)
-                    add(f"{tag} sneddon_vs_fd", abs(f_sn - f_fd) / scale, tol_ed)
+                    add(f"{tag} modes_vs_fd", abs(f_modes - f_fd) / scale, params["tol_quench"])
+                    add(f"{tag} sneddon_vs_fd", abs(f_sn - f_fd) / scale, params["tol_ed"])
 
-    for n in params.get("witness_sizes", [4, 6]):
-        for g in params.get("witness_gammas", [0.75, 4.5]):
+    for n in params["witness_sizes"]:
+        for g in params["witness_gammas"]:
             p = ModelParams(n, 0.0, g, "open")
-            for t in params.get("witness_times", [0.5, 2.0]):
+            for t in params["witness_times"]:
                 st = evolve(init_state(n), p, t, 1) if t > 0 else init_state(n)
                 f_gauss = witness_qfi(st)
                 f_dense = 4.0 * ed.sx_variance_dense(ed.evolve_dense(p, t, ed.dense_vacuum(n)))
                 scale = max(abs(f_dense), 1e-12)
-                add(f"witness[N={n},gamma={g},t={t}]", abs(f_gauss - f_dense) / scale, tol_wit)
+                add(f"witness[N={n},gamma={g},t={t}]", abs(f_gauss - f_dense) / scale, params["tol_witness"])
 
     rows = [(c["name"], c["delta"], c["tolerance"], int(c["ok"])) for c in checks]
     return "check,delta,tolerance,ok", rows, [], checks
@@ -317,13 +419,13 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
     run in order.  It stays only because ``perfbench/harness.py`` passes
     it, and goes with the benchmark change listed in ROADMAP.md.
     """
-    config = validate_config(config)
-    exp = config["experiment"]
-    out = Path(out_dir) if out_dir is not None else Path(config.get("output_path", "."))
+    checked = validate_config(config)
+    exp = checked["experiment"]
+    out = Path(out_dir if out_dir is not None else checked["output_path"])
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    header, rows, fits, checks = _RUNNERS[exp](config.get("params", {}))
+    header, rows, fits, checks = _RUNNERS[exp](checked["params"])
     wall = time.perf_counter() - start
 
     csv_path = out / f"{exp}.csv"

@@ -262,7 +262,8 @@ def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
     the full QFI, approached as the exp(4 Gamma_k t) corrections die out.
     Real-eigenvalue modes are flagged degenerate (t^2 law instead).
     Raises NumericalFault when gamma = gamma_c puts the exceptional point
-    eps = 0 on a grid momentum, where the plateau diverges.
+    eps = 0 on a grid momentum, where the plateau diverges, and when gamma
+    is so large (from about 1e103) that eps^3 overflows.
     """
     # an overflow to inf would pass the exceptional-point test below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,11 +280,18 @@ def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
             f"gamma = gamma_c = {critical_gamma(params.h):.6g}, where the QFI plateau diverges"
         )
     degenerate = np.abs(spec.Gamma) <= DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(eps))
-    # eps^3 overflows from gamma ~ 1e103 on; the tilde entries then read 0
-    # (their true size is below 1e-300) and the factorization check decides
+    # eps^3 overflows from gamma ~ 1e103 on; the tilde entries then read nan
+    # and the factorization check fails, which is reported as the overflow
     with np.errstate(over="ignore", invalid="ignore"):
         tildes = _tilde_entries(mode, spec)
-    _assert_factorization(mode, spec, tildes, ~degenerate)
+    try:
+        _assert_factorization(mode, spec, tildes, ~degenerate)
+    except NumericalFault:
+        if np.all(np.isfinite(tildes[0])):
+            raise
+        raise NumericalFault(
+            f"rate gamma = {params.gamma!r} is too large: eps^3 overflows in the tilde entries (h = {params.h!r})"
+        ) from None
     # dominant eigenvector of M_k, for the larger-Im eigenvalue -eps; its
     # first entry is real and positive since beta > 0
     norm = np.sqrt(beta * beta + np.abs(-eps - alpha) ** 2)

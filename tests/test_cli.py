@@ -54,6 +54,30 @@ ORACLE = {
 
 
 SHIPPED_CONFIGS = Path(__file__).parents[1] / "docs" / "configs"
+WORKLOADS = Path(__file__).parents[1] / "perfbench" / "workloads.json"
+
+# each experiment with its required fields only, and the same config with
+# every default of docs/configuration.md written out
+REQUIRED_ONLY = {
+    "spectrum": SPECTRUM["params"],
+    "witness-scaling": {"sizes": [4, 6, 8], "gamma": 0.75},
+    "quench-series": QUENCH["params"],
+    "fbar-sweep": {"h": 0.6},
+    "critical-exponent": {"h": 0.6},
+    "oracle-check": {},
+}
+DEFAULTS = {
+    "spectrum": {},
+    "witness-scaling": {"measure_time": 7.5, "dt": 0.05, "initial_kind": "hermitian-ground",
+                        "initial_h": 0.0, "time_sensitivity": True},
+    "quench-series": {"fit_window": 0.3},
+    "fbar-sweep": {"n_sites": 512, "gammas": experiments.default_fbar_gammas(0.6, 40),
+                   "points_per_side": 40},
+    "critical-exponent": {"log_offsets": {"min": -6.0, "max": -2.0, "num": 40}},
+    "oracle-check": {"quench_sizes": [4, 6], "hs": [0.3], "gammas": [0.5, 2.0], "times": [0.5, 1.5],
+                     "witness_sizes": [4, 6], "witness_gammas": [0.75, 4.5], "witness_times": [0.5, 2.0],
+                     "tol_quench": 1e-5, "tol_ed": 1e-6, "tol_witness": 1e-6},
+}
 
 
 class TestConfigValidation:
@@ -61,6 +85,23 @@ class TestConfigValidation:
     def test_shipped_config_is_valid(self, name):
         config = validate_config(load_config(SHIPPED_CONFIGS / f"{name}.json"))
         assert config["experiment"] == name
+
+    @pytest.mark.parametrize("config", [c for cs in json.loads(WORKLOADS.read_text()).values() for c in cs],
+                             ids=lambda c: c["experiment"])
+    def test_benchmark_workload_config_is_valid(self, config):
+        # the benchmark's setup probe validates these
+        assert validate_config(json.loads(json.dumps(config)))["experiment"] == config["experiment"]
+
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
+    def test_written_out_defaults_change_nothing(self, tmp_path, name):
+        given = {"experiment": name, "params": REQUIRED_ONLY[name]}
+        written = {"experiment": name, "params": {**REQUIRED_ONLY[name], **DEFAULTS[name]}}
+        a = run_experiment(json.loads(json.dumps(given)), out_dir=tmp_path / "a")
+        b = run_experiment(json.loads(json.dumps(written)), out_dir=tmp_path / "b")
+        assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
+        assert a.summary["results"] == b.summary["results"]
+        # the run JSON keeps the config as given
+        assert read_masked_json(a.json_path)["config"] == given
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -108,22 +149,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"params/log_offsets: .*{message}"):
             validate_config(cfg)
 
-    def test_schema_checked_once_per_process(self, monkeypatch):
-        from jsonschema import Draft202012Validator
-
-        checks = []
-        original = Draft202012Validator.check_schema
-
-        def counting(cls, schema, *args, **kwargs):
-            checks.append(schema)
-            return original(schema, *args, **kwargs)
-
-        experiments._validator.cache_clear()
-        monkeypatch.setattr(Draft202012Validator, "check_schema", classmethod(counting))
-        validate_config(json.loads(json.dumps(SPECTRUM)))
-        validate_config(json.loads(json.dumps(QUENCH)))
-        assert len(checks) == 1
-
     @pytest.mark.parametrize(
         "payload,field",
         [
@@ -161,11 +186,19 @@ class TestConfigValidation:
         ids=["witness-sizes", "critical-num", "oracle-sizes", "spectrum-n_sites", "quench-n_sites"],
     )
     def test_integral_floats_rejected(self, tmp_path, payload, field):
-        # JSON Schema's "integer" admits 8.0, which the runners cannot use as a size
+        # 8.0 is no integer: the runners cannot use it as a size
         cfg = write_config(tmp_path / "c.json", payload)
         result = CliRunner().invoke(main, [payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert f"'{field}" in result.output and "is not of type 'integer'" in result.output
+
+    @pytest.mark.parametrize("field", ["quench_sizes", "witness_sizes"])
+    def test_odd_oracle_size_rejected(self, tmp_path, field):
+        # the chains are even; an odd size used to end in a ValueError traceback
+        cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": {field: [5]}})
+        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"'params/{field}/0'" in result.output and "even" in result.output
 
 
 class TestCliContract:
@@ -297,7 +330,8 @@ class TestCliContract:
 class TestRuntimeDependencies:
     def test_shipped_configs_run_without_scipy(self, tmp_path):
         # numpy and scipy each bundle a BLAS with its own thread pool; a run
-        # that loads both makes the pools compete for the cores
+        # that loads both makes the pools compete for the cores.  The config
+        # checks need no jsonschema either
         script = (
             "import sys\n"
             "from pathlib import Path\n"
@@ -305,7 +339,7 @@ class TestRuntimeDependencies:
             "from mipt_qfi.experiments import load_config, run_experiment\n"
             "for path in sorted(Path(sys.argv[2]).glob('*.json')):\n"
             "    run_experiment(load_config(path), out_dir=sys.argv[3])\n"
-            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema'))\n"
             "assert not loaded, loaded\n"
         )
         src = Path(mipt_qfi.__file__).resolve().parents[1]

@@ -268,6 +268,14 @@ class TestFbar:
                 return
         assert np.isfinite(value)
 
+    @pytest.mark.parametrize("gamma", [1e150, 1e154])
+    def test_rate_overflow_is_named(self, gamma):
+        # eps^3 overflows while the mode spectrum is still finite; the
+        # message used to read "tilde factorization failed ... (relative residual nan)"
+        message = re.escape(f"rate gamma = {gamma!r} is too large: eps^3 overflows")
+        with pytest.raises(NumericalFault, match=message):
+            fbar(ModelParams(8, 0.3, gamma))
+
     def test_density_converges_with_grid_refinement(self):
         h, gamma = 0.6, 1.6
         a = fbar(ModelParams(64, h, gamma)) / 64
