@@ -14,10 +14,10 @@ pivoting (Wimmer, ACM TOMS 38, 30 (2012)).  It backs the public
 from its Majorana matrix g = i Gamma, Gamma real.  The string block of
 (i, j) is the contiguous principal block Gamma[2i+1:2j+1, 2i+1:2j+1], so
 row i of the table is the set of leading even sub-Pfaffians of the one
-matrix M_i = Gamma[2i+1:2N-1, 2i+1:2N-1].  `leading_pfaffians` gets all
-of them from one unpivoted skew elimination of M_i in real arithmetic,
-as running products of pivots (the bordered Schur updates of Bajdich et
-al., PRB 77, 115112 (2008)): O(N^3) a row, O(N^4) for the table.
+matrix M_i = Gamma[2i+1:2N-1, 2i+1:2N-1], all of them from one unpivoted
+skew elimination of M_i in real arithmetic, as running products of pivots
+(the bordered Schur updates of Bajdich et al., PRB 77, 115112 (2008)):
+O(N^3) a row, O(N^4) for the table.
 
 - 2x2 step: Pf(A_{k+2}) = Pf(A_k) s01, then a rank-2 Schur update.
 - 4x4 step, when |s01| <= PIVOT_TOL * scale: the small Pf(A_k) s01 is
@@ -28,11 +28,28 @@ al., PRB 77, 115112 (2008)): O(N^3) a row, O(N^4) for the table.
   computed block by block with the pivoted `pfaffian_numpy`.
 
 scale is the largest |entry| of M_i (at most 1 for a physical state).
+
+Every M_i is the trailing block of M0 = Gamma[1:2N-1, 1:2N-1] from
+position 2i on, so the rows are eliminated together, position by
+position: at position p every started row whose next step is at p takes
+it, each with its own branch and scale, in one set of stacked numpy
+operations (N - 1 positions per table instead of about N^2 / 2 row
+steps); row i joins at p = 2i.  The Schur updates are deferred across a
+panel of PANEL positions (the blocked elimination of Wimmer 2012): each
+step only stores its update x y^T - y x^T as vector pairs (x, y), one
+for a 2x2 step and two for a 4x4 step, and the later steps of the panel
+add the pending pairs to the few rows they read.  At the panel's end one
+GEMM per row applies the pairs to the row's trailing block, which then
+moves down to the next panel's coordinates.  Rows in flight each hold a
+trailing block, so the rows are taken in groups whose blocks and pairs
+fit in FLIGHT_COPIES copies of M0; a later group starts at its first
+row's position.  `leading_pfaffians` is the one-row case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -43,6 +60,20 @@ from .errors import NumericalFault
 # growth at 100; a 1e-8 cap let table entries drift by up to 1e-12 from
 # the pivoted values on evolved states at N = 64.
 PIVOT_TOL = 1e-2
+
+# Positions per panel of the string-table elimination: a panel's Schur
+# updates are kept as vector pairs and applied once, at its end.
+PANEL = 8
+
+# Memory that the rows in flight (their blocks and pending pairs) may hold,
+# in copies of M0.  `evolve` peaks at about 20 copies (the Pade exponential
+# of the complex 2N x 2N kernel), so the table needs no more memory than the
+# evolution before it; with 14 its tracemalloc peak stays below 0.8 of
+# evolve's at N = 16 .. 256, and tables up to N = 32 are one group.
+FLIGHT_COPIES = 14
+
+# signs of the S4 entries in the coefficients of a 4x4 step's pairs
+_K_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
 
 # largest |Re g| accepted as round-off of a purely imaginary Majorana matrix
 REAL_PART_TOL = 1e-6
@@ -118,74 +149,189 @@ def pfaffian_numpy(a: np.ndarray) -> complex:
 def leading_pfaffians(a: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
     """Pf(a[:2k, :2k]) for k = 1 .. n/2 of a real antisymmetric matrix.
 
-    Nested unpivoted elimination (see the module docstring).  Returns the
-    Pfaffians and the count of steps each branch took ("2x2", "4x4",
-    and "pivoted" for the blocks left to `pfaffian_numpy`).
+    The one-row case of the string-table elimination (see the module
+    docstring).  Returns the Pfaffians and the count of steps each branch
+    took ("2x2", "4x4", and "pivoted" for the blocks left to
+    `pfaffian_numpy`).
     """
-    s = np.array(a, dtype=float)
-    n = s.shape[0]
-    out = np.empty(n // 2)
+    pf, steps = _nested_pfaffians(np.asarray(a, dtype=float), 1)
+    return pf[0], steps
+
+
+def _nested_pfaffians(m0: np.ndarray, n_rows: int) -> tuple[np.ndarray, dict[str, int]]:
+    """P[i, q] = Pf(m0[2i:2q+2, 2i:2q+2]) for i < n_rows and q >= i.
+
+    Row i is the elimination of m0[2i:, 2i:].  The rows go through
+    `_eliminate` in groups that fit the FLIGHT_COPIES cap.  Also returns
+    the branch counts summed over the rows.
+    """
+    n = m0.shape[0]
+    out = np.zeros((n_rows, n // 2))
     steps = {"2x2": 0, "4x4": 0, "pivoted": 0}
-    scale = float(np.max(np.abs(s), initial=0.0))
-    pf = 1.0
-    k = 0
-    while k < n:
-        s01 = s[k, k + 1]
-        if abs(s01) > PIVOT_TOL * scale:
-            pf *= s01
-            out[k // 2] = pf
-            u = np.outer(s[k + 1, k + 2 :], s[k, k + 2 :] / s01)
-            s[k + 2 :, k + 2 :] += u - u.T
-            steps["2x2"] += 1
-            k += 2
-            continue
-        out[k // 2] = pf * s01
-        if k + 2 == n:
-            break
-        p = s[k : k + 4, k : k + 4]
-        pf4 = p[0, 1] * p[2, 3] - p[0, 2] * p[1, 3] + p[0, 3] * p[1, 2]
-        out[k // 2 + 1] = pf * pf4
-        if abs(pf4) <= PIVOT_TOL * scale**2:
-            for m in range(k // 2 + 2, n // 2):
-                out[m] = pfaffian_numpy(a[: 2 * m + 2, : 2 * m + 2]).real
-                steps["pivoted"] += 1
-            break
-        pf *= pf4
-        # upper triangle of S4^-1 = adj(S4) / Pf(S4); S4^-1 = q - q^T
-        q = np.array(
-            [
-                [0.0, -p[2, 3], p[1, 3], -p[1, 2]],
-                [0.0, 0.0, -p[0, 3], p[0, 2]],
-                [0.0, 0.0, 0.0, -p[0, 1]],
-                [0.0, 0.0, 0.0, 0.0],
-            ]
-        ) / pf4
-        b = s[k : k + 4, k + 4 :]
-        u = b.T @ (q @ b)
-        s[k + 4 :, k + 4 :] += u - u.T
-        steps["4x4"] += 1
-        k += 4
+    # scale_i = max |m0[2i:, 2i:]|: |m0| is symmetric, so this is a suffix
+    # maximum of the row maxima of its upper triangle
+    rowmax = np.max(np.triu(np.abs(m0)), axis=1, initial=0.0)
+    scale = np.maximum.accumulate(rowmax[::-1])[::-1][: 2 * n_rows : 2]
+    first = 0
+    while first < n_rows:
+        c = 2 * first
+        rows = _rows_in_flight(n - c, n_rows - first, FLIGHT_COPIES * n * n)
+        _eliminate(m0[c:, c:], out[first : first + rows, first:], scale[first : first + rows], steps)
+        first += rows
     return out, steps
 
 
-def xx_table(g: np.ndarray) -> np.ndarray:
+def _panels(m: int, rows: int) -> Iterator[tuple[int, int, int, int]]:
+    """(start, stop, joined, width) of each panel of `rows` rows on m x m.
+
+    joined rows have started by the panel's end, and their pending pairs
+    take `width` rows of xy: one pair per slot, and one more for a 4x4
+    step at the last slot unless the panel ends the block.
+    """
+    for start in range(0, m, 2 * PANEL):
+        stop = min(m, start + 2 * PANEL)
+        yield start, stop, min(rows, stop // 2), stop - start + 2 * (stop < m)
+
+
+def _footprint(m: int, rows: int) -> tuple[int, int]:
+    """Floats of the stack at its largest and of the largest panel's pairs."""
+    stack = pairs = 0
+    for start, _, joined, width in _panels(m, rows):
+        stack = max(stack, joined * (m - start) ** 2)
+        pairs = max(pairs, joined * width * (m - start))
+    return stack, pairs
+
+
+def _rows_in_flight(m: int, rows: int, cap: int) -> int:
+    """Most rows, at least one and at most `rows`, whose footprint is <= cap."""
+    lo, hi = 1, rows
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if sum(_footprint(m, mid)) <= cap:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[str, int]) -> None:
+    """Eliminate rows b < len(out) of a together, row b on a[2b:, 2b:].
+
+    Sets out[b, q] = Pf(a[2b:2q+2, 2b:2q+2]) for q >= b and adds the branch
+    counts to steps.  Row b joins at position 2b; at each position every
+    row whose next step is there takes it, with its own scale[b].  Within a
+    panel the stack s holds each joined row's block [start:, start:] as it
+    was at the panel start, and xy its pending update pairs: pair c,
+    x = xy[b, 2c] and y = xy[b, 2c + 1], adds x y^T - y x^T to the block.
+    The step at slot t of the panel stores its pairs from pair t on: one
+    for a 2x2 step, two for a 4x4 step (which also covers slot t + 1).
+    """
+    rows, m = out.shape[0], a.shape[0]
+    buf = np.empty(_footprint(m, rows)[0])
+    s = buf[:0].reshape(0, m, m)
+    xy = np.zeros((0, 0, m))
+    pf = np.ones(rows)
+    nxt = 2 * np.arange(rows)  # position of each row's next step, -1 once done
+    tol2, tol4 = PIVOT_TOL * scale, PIVOT_TOL * scale**2
+    for start, stop, joined, width in _panels(m, rows):
+        size, lead = m - start, 2 * PANEL
+        # apply the last panel's pairs while compacting the stack to
+        # [start:, start:] in place (every row moves to lower addresses),
+        # then let in the rows that join in this panel
+        new = buf[: joined * size * size].reshape(joined, size, size)
+        for b in range(len(s)):
+            w = xy[b, 0::2, lead:].T @ xy[b, 1::2, lead:]
+            np.add(s[b, lead:, lead:], w, out=new[b])
+            new[b] -= w.T
+        new[len(s) :] = a[start:, start:]
+        s = new
+        xy = np.zeros((joined, width, size))
+        for p in range(start, stop, 2):
+            o, t, col = p - start, (p - start) // 2, p // 2
+            jj = min(rows, col + 1)
+            # rows p .. p+3 of every joined row's block with the pending
+            # pairs applied; a row that steps here has none at t or later
+            r = s[:jj, o : o + 4, o:]
+            if t:
+                x, y = xy[:jj, 0 : 2 * t : 2, o:], xy[:jj, 1 : 2 * t : 2, o:]
+                r = r + (x[:, :, :4].transpose(0, 2, 1) @ y - y[:, :, :4].transpose(0, 2, 1) @ x)
+            s01 = r[:, 0, 1]
+            go = nxt[:jj] == p
+            big = np.abs(s01) > tol2[:jj]
+            two = go & big
+            if two.any():
+                piv = np.where(two, s01, 1.0)
+                pf[:jj] *= piv
+                np.copyto(out[:jj, col], pf[:jj], where=two)
+                nxt[:jj] += 2 * two
+                steps["2x2"] += int(np.count_nonzero(two))
+                # the other rows add zeros, which keeps the pair that a
+                # 4x4 step at t - 1 stored at t
+                if p + 2 < m:
+                    xy[:jj, 2 * t, o + 2 :] += r[:, 1, 2:] * two[:, None]
+                    xy[:jj, 2 * t + 1, o + 2 :] += r[:, 0, 2:] * (two / piv)[:, None]
+            four = np.flatnonzero(go & ~big)
+            if not four.size:
+                continue
+            out[four, col] = pf[four] * s01[four]
+            if p + 2 == m:
+                continue
+            s4 = r[four, :, :4].reshape(-1, 16)  # s4[:, 4 i + j] = S4[i, j]
+            pf4 = s4[:, 1] * s4[:, 11] - s4[:, 2] * s4[:, 7] + s4[:, 3] * s4[:, 6]
+            out[four, col + 1] = pf[four] * pf4
+            small = np.abs(pf4) <= tol4[four]
+            if small.any():
+                for b in four[small]:
+                    nxt[b] = -1
+                    for c in range(col + 2, m // 2):
+                        out[b, c] = pfaffian_numpy(a[2 * b : 2 * c + 2, 2 * b : 2 * c + 2]).real
+                    steps["pivoted"] += m // 2 - col - 2
+                four, s4, pf4 = four[~small], s4[~small], pf4[~small]
+                if not four.size:
+                    continue
+            pf[four] *= pf4
+            nxt[four] += 4
+            steps["4x4"] += four.size
+            # S <- C + B^T Q B with Q = S4^-1 = e_0 ^ Q[0] + R, where
+            # u ^ v = u v^T - v u^T and R is antisymmetric of rank 2 on
+            # rows 1 .. 3: R = c ^ w with c = (S4[0, 3] e_2 - S4[0, 2] e_3)
+            # / Pf(S4), w = e_1 - S4[0, 1] (S4[0, 2] e_2 + S4[0, 3] e_3) / den
+            # and den = S4[0, 2]^2 + S4[0, 3]^2, or R = e_2 ^ Q[2, 3] e_3 if
+            # den = 0.  The rows of k are e_0, Q[0], c and w, so k @ B gives
+            # the two pairs.
+            k = np.zeros((four.size, 16))
+            k[:, 0] = k[:, 13] = 1.0
+            k[:, [5, 6, 7, 10, 11]] = s4[:, [11, 7, 6, 3, 2]] * (_K_SIGNS / pf4[:, None])
+            den = s4[:, 2] ** 2 + s4[:, 3] ** 2
+            flat = den == 0
+            if flat.any():
+                den[flat] = 1.0
+                k[flat, 10], k[flat, 13], k[flat, 15] = 1.0, 0.0, -s4[flat, 1] / pf4[flat]
+            k[:, 14:16] -= s4[:, 2:4] * (s4[:, 1] / den)[:, None]
+            xy[four, 2 * t : 2 * t + 4, o + 4 :] = k.reshape(-1, 4, 4) @ r[four, :, 4:]
+
+
+def xx_table(g: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarray:
     """Upper-triangular (N, N) table of <x_i x_j> from the Majorana matrix g.
 
-    <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i, with g = i Gamma.  Raises
-    NumericalFault when g is not finite or not imaginary up to round-off.
+    <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i, with g = i Gamma.  If
+    steps is given, each branch's step count over the table ("2x2",
+    "4x4", "pivoted") is added to it.  Raises NumericalFault when g is not
+    finite or not imaginary up to round-off.
     """
     if not np.all(np.isfinite(g)):
         raise NumericalFault("Majorana matrix has non-finite entries")
     re = float(np.max(np.abs(g.real), initial=0.0))
     if re > REAL_PART_TOL:
         raise NumericalFault(f"Majorana matrix has real part up to {re:.2e}")
-    gamma = np.ascontiguousarray(g.imag)
     n = g.shape[0] // 2
+    pf, counts = _nested_pfaffians(g.imag[1 : 2 * n - 1, 1 : 2 * n - 1], n - 1)
+    if steps is not None:
+        for key, value in counts.items():
+            steps[key] = steps.get(key, 0) + value
+    d = np.arange(1, n) - np.arange(n - 1)[:, None]  # d = j - i of pf[i, j - 1]
     out = np.zeros((n, n))
-    for i in range(n - 1):
-        pf, _ = leading_pfaffians(gamma[2 * i + 1 : 2 * n - 1, 2 * i + 1 : 2 * n - 1])
-        pf[0::2] *= -1.0  # (-1)^d for d = 1, 2, ...
-        out[i, i + 1 :] = pf
+    out[: n - 1, 1:] = np.triu(np.where(d % 2, -pf, pf))
     return out
 
 

@@ -21,14 +21,16 @@ EXIT_NUMERICAL = 4
 def _execute(experiment: str, config_path: str, out: str | None) -> None:
     try:
         config = load_config(config_path)
-        declared = config.get("experiment")
-        if declared is None:
-            config["experiment"] = experiment
-        elif declared != experiment:
-            raise ConfigError(
-                f"config declares experiment {declared!r} but the "
-                f"{experiment!r} subcommand was invoked"
-            )
+        # run_experiment rejects a config that is no JSON object
+        if isinstance(config, dict):
+            declared = config.get("experiment")
+            if declared is None:
+                config["experiment"] = experiment
+            elif declared != experiment:
+                raise ConfigError(
+                    f"config declares experiment {declared!r} but the "
+                    f"{experiment!r} subcommand was invoked"
+                )
         result = run_experiment(config, out_dir=out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

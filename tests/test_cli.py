@@ -15,7 +15,7 @@ from mipt_qfi.errors import ConfigError
 from mipt_qfi.spectral import ModelParams, critical_gamma, spectrum_table
 
 
-def write_config(path: Path, payload: dict) -> str:
+def write_config(path: Path, payload) -> str:
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -207,6 +207,13 @@ class TestCliContract:
         result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert "config error" in result.output
+
+    @pytest.mark.parametrize("payload", [[], 3, "x", None])
+    def test_config_that_is_no_object_is_a_config_error(self, tmp_path, payload):
+        cfg = write_config(tmp_path / "c.json", payload)
+        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"config field '<root>': {payload!r} is not of type 'object'" in result.output
 
     def test_subcommand_config_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", SPECTRUM)

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,12 +25,17 @@ STATES = [
 ]
 
 
-def majorana_matrix(n, kind, gamma, t, dt=0.05):
+@functools.lru_cache(maxsize=None)
+def _majorana_matrix(n, kind, gamma, t, dt):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate h = 0 ground start
         state = init_state(n, kind)
     state = evolve(state, ModelParams(n, 0.0, gamma, "open"), dt, int(round(t / dt)))
     return majorana_correlations(state)
+
+
+def majorana_matrix(n, kind, gamma, t, dt=0.05):
+    return _majorana_matrix(n, kind, gamma, t, dt).copy()
 
 
 def pairwise_table(g):
@@ -42,16 +49,77 @@ def pairwise_table(g):
     return out
 
 
-def row_steps(g):
-    """Branch counts of the nested elimination, summed over the table rows."""
+def row_by_row_pfaffians(a):
+    """Leading Pfaffians of one row by its own elimination, step by step.
+
+    The unbatched form of the table kernel, with its branch rule: a 2x2
+    step while |s01| > PIVOT_TOL * scale, else a 4x4 step with S4^-1 from
+    the adjugate, else pivoted Pfaffians for the rest of the row.
+    """
+    s = np.array(a, dtype=float)
+    n = s.shape[0]
+    out = np.empty(n // 2)
+    steps = {"2x2": 0, "4x4": 0, "pivoted": 0}
+    scale = float(np.max(np.abs(s), initial=0.0))
+    tol = _kernels.PIVOT_TOL
+    pf, k = 1.0, 0
+    while k < n:
+        s01 = s[k, k + 1]
+        if abs(s01) > tol * scale:
+            pf *= s01
+            out[k // 2] = pf
+            u = np.outer(s[k + 1, k + 2 :], s[k, k + 2 :] / s01)
+            s[k + 2 :, k + 2 :] += u - u.T
+            steps["2x2"] += 1
+            k += 2
+            continue
+        out[k // 2] = pf * s01
+        if k + 2 == n:
+            break
+        p = s[k : k + 4, k : k + 4]
+        pf4 = p[0, 1] * p[2, 3] - p[0, 2] * p[1, 3] + p[0, 3] * p[1, 2]
+        out[k // 2 + 1] = pf * pf4
+        if abs(pf4) <= tol * scale**2:
+            for m in range(k // 2 + 2, n // 2):
+                out[m] = _kernels.pfaffian_numpy(a[: 2 * m + 2, : 2 * m + 2]).real
+                steps["pivoted"] += 1
+            break
+        pf *= pf4
+        q = np.array(
+            [
+                [0.0, -p[2, 3], p[1, 3], -p[1, 2]],
+                [0.0, 0.0, -p[0, 3], p[0, 2]],
+                [0.0, 0.0, 0.0, -p[0, 1]],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        ) / pf4
+        b = s[k : k + 4, k + 4 :]
+        u = b.T @ (q @ b)
+        s[k + 4 :, k + 4 :] += u - u.T
+        steps["4x4"] += 1
+        k += 4
+    return out, steps
+
+
+def row_by_row_table(g):
+    """xx_table and its branch counts, one row elimination at a time."""
     gamma = g.imag
-    last = gamma.shape[0] - 1
+    n = g.shape[0] // 2
+    out = np.zeros((n, n))
     total = {"2x2": 0, "4x4": 0, "pivoted": 0}
-    for r in range(1, last, 2):
-        _, steps = _kernels.leading_pfaffians(gamma[r:last, r:last])
+    for i in range(n - 1):
+        pf, steps = row_by_row_pfaffians(gamma[2 * i + 1 : 2 * n - 1, 2 * i + 1 : 2 * n - 1])
+        pf[0::2] *= -1.0  # (-1)^d for d = 1, 2, ...
+        out[i, i + 1 :] = pf
         for key in total:
             total[key] += steps[key]
-    return total
+    return out, total
+
+
+def table_steps(g):
+    steps = {}
+    table = _kernels.xx_table(g, steps)
+    return table, steps
 
 
 def random_real_antisymmetric(n, seed):
@@ -66,22 +134,137 @@ class TestNestedStringTable:
         g = majorana_matrix(n, kind, gamma, t)
         np.testing.assert_allclose(_kernels.xx_table(g), pairwise_table(g), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n,kind,gamma,t",
+        [(n, *state) for n in (8, 16, 32) for state in STATES]
+        + [(n, "hermitian-ground", 0.75, 7.5) for n in (48, 64, 128)],
+    )
+    def test_matches_row_by_row_elimination(self, n, kind, gamma, t):
+        # the batched kernel takes the same branches as one elimination per row
+        g = majorana_matrix(n, kind, gamma, t)
+        table, steps = table_steps(g)
+        ref, ref_steps = row_by_row_table(g)
+        np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
+        assert steps == ref_steps
+
     def test_ghz_start_reaches_the_ceiling_by_2x2_steps(self):
         g = majorana_matrix(16, "hermitian-ground", 0.75, 0.0)
-        table = _kernels.xx_table(g)
+        table, steps = table_steps(g)
         assert 16 + 2 * table.sum() == pytest.approx(16.0**2, rel=1e-12)
-        assert row_steps(g) == {"2x2": 15 * 16 // 2, "4x4": 0, "pivoted": 0}
+        assert steps == {"2x2": 15 * 16 // 2, "4x4": 0, "pivoted": 0}
 
     @pytest.mark.parametrize("t", [2.0, 60.0])
     def test_vacuum_start_takes_only_4x4_steps(self, t):
         g = majorana_matrix(16, "vacuum", 0.75, t)
-        steps = row_steps(g)
+        table, steps = table_steps(g)
         assert steps["2x2"] == 0 and steps["pivoted"] == 0
         # rows of length 2m take floor(m / 2) 4x4 steps
         assert steps["4x4"] == sum(m // 2 for m in range(1, 16))
         i, j = np.triu_indices(16, 1)
         odd = (j - i) % 2 == 1
-        assert np.max(np.abs(_kernels.xx_table(g)[i[odd], j[odd]])) < 1e-14
+        assert np.max(np.abs(table[i[odd], j[odd]])) < 1e-14
+
+    @pytest.mark.parametrize(
+        "n,kind,counts",
+        [
+            (64, "hermitian-ground", (1934, 41, 0)),
+            (128, "hermitian-ground", (7914, 107, 0)),
+            (128, "vacuum", (0, 4032, 0)),
+        ],
+    )
+    def test_branch_counts_of_the_witness_states(self, n, kind, counts):
+        _, steps = table_steps(majorana_matrix(n, kind, 0.75, 7.5))
+        assert (steps["2x2"], steps["4x4"], steps["pivoted"]) == counts
+
+    def test_steps_accumulate_across_calls(self):
+        g = majorana_matrix(8, "hermitian-ground", 0.75, 0.0)
+        steps = {}
+        _kernels.xx_table(g, steps)
+        _kernels.xx_table(g, steps)
+        assert steps == {"2x2": 2 * 7 * 8 // 2, "4x4": 0, "pivoted": 0}
+
+
+# the table is one group of rows at this size, so row r joins the
+# elimination at position r: MID joins inside the first panel, and a 4x4
+# step of row STRADDLE at its first position covers the panel's last
+# position and the next panel's first
+TABLE_SITES = 20
+MID, STRADDLE = _kernels.PANEL // 2 - 1, _kernels.PANEL - 1
+
+
+def planted_gamma(row, block, seed):
+    """Random antisymmetric Gamma whose row `row` matrix M_row starts with block."""
+    n = TABLE_SITES
+    gamma = 0.2 * random_real_antisymmetric(2 * n, seed)
+    lo = 2 * row + 1
+    gamma[lo : lo + len(block), lo : lo + len(block)] = block
+    return gamma
+
+
+class TestStringTableBranches:
+    """The cases of TestLeadingPfaffians, planted in one row of the table."""
+
+    def test_one_group(self):
+        n = 2 * TABLE_SITES - 2
+        rows = _kernels._rows_in_flight(n, TABLE_SITES - 1, _kernels.FLIGHT_COPIES * n * n)
+        assert rows == TABLE_SITES - 1
+
+    def check(self, gamma, row):
+        g = 1j * gamma
+        table, steps = table_steps(g)
+        np.testing.assert_allclose(table, pairwise_table(g), rtol=1e-10, atol=1e-15)
+        ref, ref_steps = row_by_row_table(g)
+        np.testing.assert_allclose(table, ref, rtol=1e-10, atol=1e-15)
+        assert steps == ref_steps
+        m = 2 * TABLE_SITES - 1
+        return row_by_row_pfaffians(gamma[2 * row + 1 : m, 2 * row + 1 : m])[1], steps
+
+    @pytest.mark.parametrize("row", [MID, STRADDLE])
+    def test_generic_matrix(self, row):
+        row_steps, _ = self.check(planted_gamma(row, np.zeros((0, 0)), 11), row)
+        assert row_steps == {"2x2": TABLE_SITES - 1 - row, "4x4": 0, "pivoted": 0}
+
+    @pytest.mark.parametrize("row", [MID, STRADDLE])
+    def test_singular_2x2_pivot_takes_a_4x4_step(self, row):
+        gamma = planted_gamma(row, np.zeros((0, 0)), 3)
+        lo = 2 * row + 1
+        gamma[lo, lo + 1] = gamma[lo + 1, lo] = 0.0
+        row_steps, _ = self.check(gamma, row)
+        assert row_steps["4x4"] >= 1 and row_steps["pivoted"] == 0
+
+    @pytest.mark.parametrize("row", [MID, STRADDLE])
+    @pytest.mark.parametrize("lead", [0, 2])
+    def test_singular_2x2_and_4x4_blocks_fall_back_to_pivoting(self, row, lead):
+        # a regular 2x2 lead (or none), then a block whose leading 4x4 is zero
+        block = np.zeros((lead + 12, lead + 12))
+        block[lead:, lead:] = 0.2 * random_real_antisymmetric(12, 7)
+        block[lead : lead + 4, lead : lead + 4] = 0.0
+        if lead:
+            block[0, 1], block[1, 0] = 0.5, -0.5
+        gamma = planted_gamma(row, block, 5)
+        lo = 2 * row + 1
+        gamma[lo : lo + lead, lo + len(block) :] = 0.0
+        gamma[lo + len(block) :, lo : lo + lead] = 0.0
+        row_steps, _ = self.check(gamma, row)
+        m = TABLE_SITES - 1 - row  # Pfaffians in the row
+        assert row_steps == {"2x2": lead // 2, "4x4": 0, "pivoted": m - lead // 2 - 2}
+
+    def test_4x4_step_with_a_decoupled_first_row(self):
+        # S4[0, 2] = S4[0, 3] = 0: a small pivot s01 whose 4x4 block only
+        # passes the Pf(S4) test because an earlier small 2x2 pivot grew
+        # S4[2, 3] to about 67
+        block = np.zeros((6, 6))
+        block[0, 1], block[0, 4], block[1, 5] = 0.015, 1.0, 1.0
+        block[2, 3] = 1e-3
+        block = block - block.T
+        gamma = planted_gamma(MID, block, 9)
+        lo = 2 * MID + 1
+        for r in (lo, lo + 1, lo + 2):  # the planted rows stay as written
+            keep = gamma[r, lo : lo + 6].copy()
+            gamma[r, :], gamma[:, r] = 0.0, 0.0
+            gamma[r, lo : lo + 6], gamma[lo : lo + 6, r] = keep, -keep
+        row_steps, _ = self.check(gamma, MID)
+        assert row_steps["4x4"] >= 1 and row_steps["pivoted"] == 0
 
 
 class TestLeadingPfaffians:
@@ -115,6 +298,30 @@ class TestLeadingPfaffians:
         np.testing.assert_allclose(pf, ref, rtol=1e-10, atol=1e-15)
         assert steps == {"2x2": lead // 2, "4x4": 0, "pivoted": n // 2 - lead // 2 - 2}
         assert np.all(pf[lead // 2 : lead // 2 + 2] == 0.0)
+
+
+class TestStringTableMemory:
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_table_peak_is_at_most_the_evolution_peak(self, n):
+        # tracemalloc counts numpy's buffers exactly, so this is deterministic
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state = init_state(n, "hermitian-ground")
+        params = ModelParams(n, 0.0, 0.75, "open")
+
+        def peak(f, *args):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = f(*args)
+                return tracemalloc.get_traced_memory()[1] - base, out
+            finally:
+                tracemalloc.stop()
+
+        evolve_peak, state = peak(evolve, state, params, 0.05, 150)
+        table_peak, _ = peak(_kernels.xx_table, majorana_correlations(state))
+        assert table_peak <= evolve_peak
 
 
 class TestMajoranaMatrixChecks:
