@@ -7,6 +7,7 @@ multipartite entanglement under a collective x-rotation, and the
 sensitivity to the monitoring rate after a measurement quench.
 """
 
+from ._kernels import pfaffian
 from .errors import (
     ConfigError,
     NoCriticalPointError,
@@ -15,7 +16,6 @@ from .errors import (
     ToleranceFailure,
 )
 from .fitting import FitResult, fit_exponential_rate, fit_power_law
-from .pfaffian import pfaffian
 from .qfi import (
     ModeQfiCoefficient,
     critical_mode_coefficient,
@@ -44,7 +44,6 @@ from .realspace import (
 from .spectral import (
     Mode,
     ModelParams,
-    ModeSpectrum,
     critical_gamma,
     critical_momentum,
     gap_character,
@@ -62,7 +61,6 @@ __all__ = [
     "GaussianState",
     "Mode",
     "ModeQfiCoefficient",
-    "ModeSpectrum",
     "ModelParams",
     "NoCriticalPointError",
     "NumericalFault",

@@ -13,12 +13,11 @@ _SMALL = 1e-4
 
 
 def csinc(z):
-    """sin(z)/z for complex scalar or array z, smooth through z = 0."""
+    """sin(z)/z for a complex array z, smooth through z = 0."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SMALL
     safe = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(safe) / safe)
-    return out if out.shape else out[()]
+    return np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(safe) / safe)
 
 
 def phi3(z):
@@ -26,9 +25,8 @@ def phi3(z):
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SMALL
     safe = np.where(small, 1.0, z)
-    out = np.where(
+    return np.where(
         small,
         -1.0 / 6.0 + z * z / 120.0 - z**4 / 5040.0,
         (np.sin(safe) - safe) / safe**3,
     )
-    return out if out.shape else out[()]

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the matrix exponential, the pivoted Pfaffian and the
+"""Hot numeric kernels: the matrix exponential, the Pfaffian and the
 Jordan-Wigner string table.
 
 `expm` is the degree-13 Pade approximant with scaling and squaring of
@@ -6,12 +6,14 @@ Higham (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), in numpy alone.  The
 frame evolution and the dense oracle call it, so every matrix operation
 of a run goes through numpy's BLAS.
 
-`pfaffian_numpy` is the skew Parlett-Reid elimination with partial
-pivoting (Wimmer, ACM TOMS 38, 30 (2012)).  It backs the public
-`pfaffian` and is the reference the string table is tested against.
+`pfaffian` is the skew Parlett-Reid elimination with partial pivoting
+(Wimmer, ACM TOMS 38, 30 (2012)), the package's one Pfaffian.  It is the
+public `mipt_qfi.pfaffian`, the fallback of the string table, and the
+reference the table is tested against.
 
 `xx_table` gives every string correlator <x_i x_j> of a Gaussian state
-from its Majorana matrix g = i Gamma, Gamma real.  The string block of
+from its real antisymmetric Majorana matrix Gamma = Im(M M+) (see
+`realspace`).  The string block of
 (i, j) is the contiguous principal block Gamma[2i+1:2j+1, 2i+1:2j+1], so
 row i of the table is the set of leading even sub-Pfaffians of the one
 matrix M_i = Gamma[2i+1:2N-1, 2i+1:2N-1], all of them from one unpivoted
@@ -25,7 +27,7 @@ O(N^3) a row, O(N^4) for the table.
   Vacuum starts take it on every odd-distance block, which is exactly
   singular there.
 - If Pf(S4) is also at most PIVOT_TOL * scale^2, the rest of the row is
-  computed block by block with the pivoted `pfaffian_numpy`.
+  computed block by block with the pivoted `pfaffian`.
 
 scale is the largest |entry| of M_i (at most 1 for a physical state).
 
@@ -43,7 +45,7 @@ GEMM per row applies the pairs to the row's trailing block, which then
 moves down to the next panel's coordinates.  Rows in flight each hold a
 trailing block, so the rows are taken in groups whose blocks and pairs
 fit in FLIGHT_COPIES copies of M0; a later group starts at its first
-row's position.  `leading_pfaffians` is the one-row case.
+row's position.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ FLIGHT_COPIES = 14
 # signs of the S4 entries in the coefficients of a 4x4 step's pairs
 _K_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
 
-# largest |Re g| accepted as round-off of a purely imaginary Majorana matrix
-REAL_PART_TOL = 1e-6
+# largest |A + A^T| accepted by `pfaffian`, relative to max(1, |A|)
+_ANTISYMMETRY_TOL = 1e-10
 
 # 1-norm up to which the degree-13 Pade approximant of e^A is accurate to
 # double precision (Higham 2005, Table 2.3), and its coefficients b_0 .. b_13
@@ -119,20 +121,30 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def pfaffian_numpy(a: np.ndarray) -> complex:
-    """Pfaffian by skew-symmetric Parlett-Reid elimination with pivoting.
+def pfaffian(a: np.ndarray) -> float | complex:
+    """Pf(a) with Pf(a)^2 = det(a); a must be even-dimensional, antisymmetric.
 
-    Mutates a copy; O(n^3).  Zero pivot column means Pf = 0 exactly.
+    Skew Parlett-Reid elimination with partial pivoting on a copy, O(n^3);
+    a zero pivot column means Pf = 0 exactly.  A real matrix gives a float,
+    a complex one a complex.  Raises ValueError on a non-square or
+    odd-dimensional matrix, or on asymmetry beyond _ANTISYMMETRY_TOL or a
+    non-finite entry.
     """
-    a = np.array(a, dtype=complex)
+    a = np.array(a, dtype=np.result_type(np.asarray(a), float))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    pf = 1.0 + 0j
+    if n % 2 != 0:
+        raise ValueError(f"Pfaffian needs even dimension, got {n}")
+    asym = np.max(np.abs(a + a.T), initial=0.0)
+    if not asym <= _ANTISYMMETRY_TOL * max(float(np.max(np.abs(a), initial=0.0)), 1.0):
+        raise ValueError(f"matrix is not antisymmetric (|A + A^T| up to {asym:.2e})")
+    pf = 1.0
     for k in range(0, n - 1, 2):
         kp = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
         if a[kp, k] == 0:
-            return 0j
+            pf = 0.0
+            break
         if kp != k + 1:
             a[[k + 1, kp], :] = a[[kp, k + 1], :]
             a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
@@ -143,19 +155,7 @@ def pfaffian_numpy(a: np.ndarray) -> complex:
             tau = a[k, k + 2 :] / pivot
             col = a[k + 2 :, k + 1]
             a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return complex(pf)
-
-
-def leading_pfaffians(a: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
-    """Pf(a[:2k, :2k]) for k = 1 .. n/2 of a real antisymmetric matrix.
-
-    The one-row case of the string-table elimination (see the module
-    docstring).  Returns the Pfaffians and the count of steps each branch
-    took ("2x2", "4x4", and "pivoted" for the blocks left to
-    `pfaffian_numpy`).
-    """
-    pf, steps = _nested_pfaffians(np.asarray(a, dtype=float), 1)
-    return pf[0], steps
+    return complex(pf) if np.iscomplexobj(a) else float(pf)
 
 
 def _nested_pfaffians(m0: np.ndarray, n_rows: int) -> tuple[np.ndarray, dict[str, int]]:
@@ -284,7 +284,7 @@ def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[st
                 for b in four[small]:
                     nxt[b] = -1
                     for c in range(col + 2, m // 2):
-                        out[b, c] = pfaffian_numpy(a[2 * b : 2 * c + 2, 2 * b : 2 * c + 2]).real
+                        out[b, c] = pfaffian(a[2 * b : 2 * c + 2, 2 * b : 2 * c + 2])
                     steps["pivoted"] += m // 2 - col - 2
                 four, s4, pf4 = four[~small], s4[~small], pf4[~small]
                 if not four.size:
@@ -311,21 +311,17 @@ def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[st
             xy[four, 2 * t : 2 * t + 4, o + 4 :] = k.reshape(-1, 4, 4) @ r[four, :, 4:]
 
 
-def xx_table(g: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarray:
-    """Upper-triangular (N, N) table of <x_i x_j> from the Majorana matrix g.
+def xx_table(gamma: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarray:
+    """Upper-triangular (N, N) table of <x_i x_j> from the real Majorana matrix Gamma.
 
-    <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i, with g = i Gamma.  If
-    steps is given, each branch's step count over the table ("2x2",
-    "4x4", "pivoted") is added to it.  Raises NumericalFault when g is not
-    finite or not imaginary up to round-off.
+    <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i.  If steps is given,
+    each branch's step count over the table ("2x2", "4x4", "pivoted") is
+    added to it.  Raises NumericalFault when Gamma is not finite.
     """
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(gamma)):
         raise NumericalFault("Majorana matrix has non-finite entries")
-    re = float(np.max(np.abs(g.real), initial=0.0))
-    if re > REAL_PART_TOL:
-        raise NumericalFault(f"Majorana matrix has real part up to {re:.2e}")
-    n = g.shape[0] // 2
-    pf, counts = _nested_pfaffians(g.imag[1 : 2 * n - 1, 1 : 2 * n - 1], n - 1)
+    n = gamma.shape[0] // 2
+    pf, counts = _nested_pfaffians(gamma[1 : 2 * n - 1, 1 : 2 * n - 1], n - 1)
     if steps is not None:
         for key, value in counts.items():
             steps[key] = steps.get(key, 0) + value

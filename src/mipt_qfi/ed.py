@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 MAX_DENSE_SITES = 12
+# step of the central differences in qfi_finite_difference; a rate below it
+# would be shifted to a negative rate
+FD_STEP = 1e-5
 # o_covariance_qfi takes a dense eig of each 2^(N-1) sector
 MAX_QUADRATURE_SITES = 10
 
@@ -184,7 +187,7 @@ def qfi_finite_difference(
     params: ModelParams,
     t: float,
     initial: DenseState,
-    delta: float = 1e-5,
+    delta: float = FD_STEP,
     wrt: str = "gamma",
 ) -> float:
     """QFI from central differences of the normalized state, Richardson once.

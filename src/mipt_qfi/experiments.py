@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ed
-from .errors import ConfigError, ToleranceFailure
+from .errors import ConfigError, NumericalFault, ToleranceFailure
 from .fitting import fit_exponential_rate, fit_power_law, stable_window_start
 from .qfi import critical_mode_coefficient, fbar, qfi_quench
 from .realspace import entanglement_depth, evolve, init_state, witness_qfi
@@ -166,7 +166,8 @@ PARAMS = {
     "oracle-check": _object({
         "quench_sizes": (_array(_number(integer=True, minimum=4, maximum=10, even=True)), [4, 6]),
         "hs": (_array(_number()), [0.3]),
-        "gammas": (_array(_RATE), [0.5, 2.0]),
+        # the finite-difference oracle evaluates gamma - FD_STEP
+        "gammas": (_array(_number(minimum=ed.FD_STEP)), [0.5, 2.0]),
         "times": (_array(_number(minimum=0)), [0.5, 1.5]),
         "witness_sizes": (_array(_number(integer=True, minimum=4, maximum=12, even=True)), [4, 6]),
         "witness_gammas": (_array(_RATE), [0.75, 4.5]),
@@ -294,6 +295,12 @@ def _run_quench_series(params: dict):
     ts = list(params["times"])
     window = params["fit_window"]
     fs = [qfi_quench(p, float(t)) for t in ts]
+    # F > 0 for every t > 0; a zero is an underflow, and the fit takes log F
+    for t, f in zip(ts, fs):
+        if not f > 0.0:
+            raise NumericalFault(
+                f"quench QFI underflows to {f!r} at t = {t!r}; the growth-rate fit needs F > 0"
+            )
     rows = list(zip(ts, fs))
     # transient exclusion: start at the stabilized slope, but never earlier
     # than the trailing-window default

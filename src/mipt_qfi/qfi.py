@@ -52,7 +52,6 @@ from .quench import _ground_pair, evolve_amplitudes, ising_ground_amplitudes
 from .spectral import (
     Mode,
     ModelParams,
-    ModeSpectrum,
     critical_gamma,
     critical_mode_system,
     mode_system,
@@ -100,8 +99,8 @@ class ModeQfiCoefficient:
     degenerate: np.ndarray
 
 
-def _closed_form_entries(mode: Mode, spec: ModeSpectrum, t):
-    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+def _closed_form_entries(mode: Mode, t):
+    alpha, beta, eps = mode.alpha, mode.beta, mode.eps
     p = phi3(2.0 * eps * t)
     s2 = csinc(eps * t) ** 2
     a = t + 4.0 * beta * beta * t**3 * p
@@ -111,7 +110,7 @@ def _closed_form_entries(mode: Mode, spec: ModeSpectrum, t):
 
 
 def _quadrature_entries(
-    mode: Mode, spec: ModeSpectrum, t: float, rel_tol: float = 1e-10
+    mode: Mode, t: float, rel_tol: float = 1e-10
 ) -> tuple[complex, complex, complex]:
     """Adaptive composite Simpson for int_0^t e^{-iMs} sigma_z e^{iMs} ds.
 
@@ -120,7 +119,7 @@ def _quadrature_entries(
     entry of the newer one; after 16 doublings without that,
     QuadratureError reports the last relative change.
     """
-    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+    alpha, beta, eps = mode.alpha, mode.beta, mode.eps
 
     def composite(panels: int) -> np.ndarray:
         s = np.linspace(0.0, t, 2 * panels + 1)
@@ -149,14 +148,14 @@ def _quadrature_entries(
     raise QuadratureError("R_k quadrature stalled", achieved)
 
 
-def r_matrix(mode: Mode, spec: ModeSpectrum, t: float) -> np.ndarray:
+def r_matrix(mode: Mode, t: float) -> np.ndarray:
     """Generator kernel R_k(t) = [[A, B], [C, -A]] in closed form, shape (..., 2, 2).
 
     The leading axes are those of the mode arrays: (2, 2) for one momentum.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    a, b, c = _closed_form_entries(mode, spec, t)
+    a, b, c = _closed_form_entries(mode, t)
     return np.stack([np.stack([a, b], axis=-1), np.stack([c, -a], axis=-1)], axis=-2)
 
 
@@ -191,8 +190,7 @@ def qfi_quench(params: ModelParams, t: float) -> float:
     # past the floor the entries overflow; the check below decides, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         amps = evolve_amplitudes(amps0, params, t)
-        mode, spec = mode_system(params, amps.k)
-        entries = _closed_form_entries(mode, spec, t)
+        entries = _closed_form_entries(mode_system(params, amps.k), t)
         off = np.abs(_off_diagonal(entries, amps.u, amps.v))
         total = float(np.sum(off**2))
         noise = np.finfo(float).eps * np.max(np.abs(entries), axis=0)
@@ -205,8 +203,8 @@ def qfi_quench(params: ModelParams, t: float) -> float:
     return total
 
 
-def _tilde_entries(mode: Mode, spec: ModeSpectrum):
-    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+def _tilde_entries(mode: Mode):
+    alpha, beta, eps = mode.alpha, mode.beta, mode.eps
     denom = 4.0 * eps**3
     return (
         -1j * beta * beta / denom,
@@ -215,7 +213,7 @@ def _tilde_entries(mode: Mode, spec: ModeSpectrum):
     )
 
 
-def _assert_factorization(mode: Mode, spec: ModeSpectrum, tildes, check, tol: float = 1e-9) -> None:
+def _assert_factorization(mode: Mode, tildes, check, tol: float = 1e-9) -> None:
     """Check the exact split of R into linear + constant + growing + decaying.
 
     Fixes the signs of the tilde coefficients by identity rather than by
@@ -224,12 +222,12 @@ def _assert_factorization(mode: Mode, spec: ModeSpectrum, tildes, check, tol: fl
     bounded at any rate.  Runs on the modes where check is True and names
     the worst one.
     """
-    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+    alpha, beta, eps = mode.alpha, mode.beta, mode.eps
     ta, tb, tc = tildes
     t = np.array([[0.7], [1.9]]) / np.maximum(1.0, np.abs(eps))
     # an overflow leaves a nan residual, which the test below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = _closed_form_entries(mode, spec, t)
+        a, b, c = _closed_form_entries(mode, t)
         ep, em = np.exp(2j * eps * t), np.exp(-2j * eps * t)
         lin = alpha / (eps * eps) * t
         const = 0.5j * beta / (eps * eps)
@@ -267,8 +265,8 @@ def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
     """
     # an overflow to inf would pass the exceptional-point test below
     with np.errstate(over="ignore", invalid="ignore"):
-        mode, spec = mode_system(params, momentum_grid(params.n_sites))
-    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon
+        mode = mode_system(params, momentum_grid(params.n_sites))
+    alpha, beta, eps = mode.alpha, mode.beta, mode.eps
     if not all(np.all(np.isfinite(x)) for x in (alpha, beta, eps)):
         raise NumericalFault(
             f"mode spectrum is not finite at gamma = {params.gamma!r}, h = {params.h!r}"
@@ -279,13 +277,13 @@ def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
             f"exceptional point on the grid at k = {mode.k[np.argmax(exceptional)]:.6f}: "
             f"gamma = gamma_c = {critical_gamma(params.h):.6g}, where the QFI plateau diverges"
         )
-    degenerate = np.abs(spec.Gamma) <= DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(eps))
+    degenerate = np.abs(mode.Gamma) <= DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(eps))
     # eps^3 overflows from gamma ~ 1e103 on; the tilde entries then read nan
     # and the factorization check fails, which is reported as the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        tildes = _tilde_entries(mode, spec)
+        tildes = _tilde_entries(mode)
     try:
-        _assert_factorization(mode, spec, tildes, ~degenerate)
+        _assert_factorization(mode, tildes, ~degenerate)
     except NumericalFault:
         if np.all(np.isfinite(tildes[0])):
             raise
@@ -305,7 +303,7 @@ def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
     return ModeQfiCoefficient(
         mode.k,
         np.where(degenerate, f_t2, f_limit),
-        spec.Gamma,
+        mode.Gamma,
         *(np.where(degenerate, 0j, x) for x in tildes),
         degenerate,
     )
@@ -336,12 +334,11 @@ def critical_mode_coefficient(h: float, gamma: float) -> float:
     gc = critical_gamma(h)
     if gamma == gc:
         raise ValueError("coefficient diverges exactly at gamma_c")
-    mode, spec = critical_mode_system(h, gamma)
-    try:
-        entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode, spec)
-    except OverflowError:  # a Python complex power past the largest double
-        entries = (np.nan,) * 3
-    value = float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)
+    # an overflow leaves a non-finite value, which the test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mode = critical_mode_system(h, gamma)
+        entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode)
+        value = float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)
     if not np.isfinite(value):
         raise NumericalFault(
             f"critical-mode coefficient is not finite at h = {h!r}, gamma = {gamma!r}"

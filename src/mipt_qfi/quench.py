@@ -50,10 +50,6 @@ class BogoliubovAmplitudes:
         if np.any(norms <= 0.0):
             raise ValueError("mode amplitudes collapsed to zero")
 
-    def normalized(self) -> "BogoliubovAmplitudes":
-        scale = np.sqrt(np.abs(self.u) ** 2 + np.abs(self.v) ** 2)
-        return BogoliubovAmplitudes(self.k, self.u / scale, self.v / scale)
-
 
 def _ground_pair(mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     """Normalized gamma = 0 ground eigenvector (u, v) of each block.
@@ -74,8 +70,7 @@ def ising_ground_amplitudes(params: ModelParams) -> BogoliubovAmplitudes:
     if params.boundary != "periodic":
         raise ValueError("momentum-space ground state needs periodic boundary")
     k = momentum_grid(params.n_sites)
-    mode, _ = mode_system(params, k)
-    u, v = _ground_pair(mode)
+    u, v = _ground_pair(mode_system(params, k))
     return BogoliubovAmplitudes(k, u.astype(complex), v.astype(complex))
 
 
@@ -85,8 +80,8 @@ def evolve_amplitudes(
     """Apply exp(-i M_k t) to every mode pair; output is unnormalized."""
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    mode, spec = mode_system(params, amps.k)
-    alpha, beta, eps = mode.alpha, mode.beta, spec.epsilon  # eps enters evenly below
+    mode = mode_system(params, amps.k)
+    alpha, beta, eps = mode.alpha, mode.beta, mode.eps  # eps enters evenly below
     c = np.cos(eps * t)
     s = -1j * t * csinc(eps * t)
     u = c * amps.u + s * (alpha * amps.u + beta * amps.v)

@@ -22,8 +22,9 @@ U+U + V+V = I without changing the physical state.
 Every two-point function follows from the frame: with psi = (c; c+),
 <psi psi+> = W W+.  The Majorana operators a_i = c_i + c_i+ and
 b_i = i (c_i+ - c_i) therefore have the rows M[2i] = U_i + V_i and
-M[2i+1] = i (V_i - U_i), and <g_p g_q> = (M M+)_pq.  Spin-spin
-correlators <x_i x_j> reduce to Pfaffians of the Majorana string matrix,
+M[2i+1] = i (V_i - U_i), and <g_p g_q> = (M M+)_pq = delta_pq + i Gamma_pq
+with the real antisymmetric Majorana matrix Gamma = Im(M M+).  Spin-spin
+correlators <x_i x_j> reduce to Pfaffians of string blocks of Gamma,
 all of them at once in O(N^4) by the nested real kernel
 `_kernels.xx_table`, and the witness QFI is F = 4 Var(S_x) =
 N + 2 sum_{i<j} <x_i x_j> (the mean <S_x> vanishes by fermion parity of
@@ -38,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import expm, xx_table
+from ._kernels import expm, pfaffian, xx_table
 from .errors import NumericalFault
-from .pfaffian import pfaffian
 from .spectral import ModelParams
 
 __all__ = [
@@ -165,32 +165,33 @@ def evolve(state: GaussianState, params: ModelParams, dt: float, n_steps: int) -
 
 
 def majorana_correlations(state: GaussianState) -> np.ndarray:
-    """Antisymmetric 2N x 2N matrix of connected Majorana two-point functions.
+    """Real antisymmetric 2N x 2N Majorana matrix Gamma = Im(M M+).
 
     Interleaved ordering a_0, b_0, a_1, b_1, ... with a_i = c_i + c_i+ and
-    b_i = i (c_i+ - c_i).  <g_p g_q> = G_pq with G = M M+; the symmetric
-    part of G is the identity, so (G - G^T)/2 removes it.
+    b_i = i (c_i+ - c_i), so that <g_p g_q> = delta_pq + i Gamma_pq.  With
+    X = Im(M) Re(M)^T, Gamma = X - X^T: one real product, and exactly
+    antisymmetric.
     """
     u, v = state.U, state.V
     m = np.empty((2 * state.n_sites, state.n_sites), dtype=complex)
     m[0::2] = u + v
     m[1::2] = 1j * (v - u)
-    g = m @ m.conj().T
-    return 0.5 * (g - g.T)
+    x = m.imag @ m.real.T
+    return x - x.T
 
 
-def xx_correlator(state: GaussianState, i: int, j: int) -> complex:
+def xx_correlator(state: GaussianState, i: int, j: int) -> float:
     """<x_i x_j> via the Pfaffian of the Jordan-Wigner string block (0-based).
 
     The string i^d (b_i a_{i+1} b_{i+1} ... a_j), d = j - i, Wick-contracts
-    to i^d Pf of the contiguous block g[2i+1:2j+1, 2i+1:2j+1] of the
+    to (-1)^d Pf of the contiguous block Gamma[2i+1:2j+1, 2i+1:2j+1] of the
     Majorana matrix (interleaved a_0, b_0, a_1, ...).
     """
     n = state.n_sites
     if not (0 <= i < j < n):
         raise ValueError(f"need 0 <= i < j < N, got i={i}, j={j}, N={n}")
     sub = majorana_correlations(state)[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
-    return (1j) ** (j - i) * pfaffian(sub)
+    return (-1) ** (j - i) * pfaffian(sub)
 
 
 def witness_qfi(state: GaussianState) -> float:
@@ -199,8 +200,7 @@ def witness_qfi(state: GaussianState) -> float:
     <S_x> = 0 by fermion parity of the evolved state (checked against the
     dense oracle in the tests).  The table of <x_i x_j> comes from the
     nested real string-Pfaffian kernel `xx_table`, which checks that the
-    Majorana matrix is finite and imaginary; a non-finite F raises
-    NumericalFault.
+    Majorana matrix is finite; a non-finite F raises NumericalFault.
     """
     table = xx_table(majorana_correlations(state))
     value = state.n_sites + 2.0 * float(np.sum(table))
@@ -222,7 +222,7 @@ def energy_expectation(state: GaussianState, params: ModelParams) -> float:
     """<H> of the open-chain Hermitian part on this Gaussian state.
 
     H = -sum_i x_i x_{i+1} - h sum_i s^z_i with <x_i x_{i+1}> = -Gamma[2i+1, 2i+2]
-    and <s^z_i> = -Gamma[2i, 2i+1], Gamma = Im of the Majorana matrix.
+    and <s^z_i> = -Gamma[2i, 2i+1], Gamma the Majorana matrix.
     """
-    bonds = np.diagonal(majorana_correlations(state), offset=1).imag
+    bonds = np.diagonal(majorana_correlations(state), offset=1)
     return float(np.sum(bonds[1::2]) + params.h * np.sum(bonds[0::2]))

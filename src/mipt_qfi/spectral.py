@@ -12,7 +12,10 @@ problem splits into independent 2x2 Bogoliubov-de Gennes blocks
 one per momentum of the anti-periodic fermion grid.  The complex
 eigenvalues eps_k = +/- sqrt(alpha_k^2 + beta_k^2) carry a decay rate
 Gamma_k = Im(eps_k); this module fixes the branch Gamma_k <= 0, with the
-Hermitian tie-break E_k <= 0 when the pair is real.
+Hermitian tie-break E_k <= 0 when the pair is real.  (The decay rate
+Gamma_k is not the real-space Majorana matrix Gamma = Im(M M+) of
+`realspace`.)  `mode_system` returns the blocks and their branch as one
+`Mode` record of arrays over the requested momenta.
 
 All functions are pure; nothing here touches I/O or global state.
 """
@@ -29,7 +32,6 @@ from .errors import NoCriticalPointError, NumericalFault
 __all__ = [
     "ModelParams",
     "Mode",
-    "ModeSpectrum",
     "momentum_grid",
     "mode_system",
     "critical_gamma",
@@ -73,29 +75,23 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Mode:
-    """Entries of the 2x2 block M_k = [[alpha, beta], [beta, -alpha]].
+    """Blocks M_k = [[alpha, beta], [beta, -alpha]] and their chosen branch eps.
 
-    Scalars for one momentum, arrays over the momenta of an array call.
+    One array entry per momentum; eps = E + i Gamma with Gamma <= 0.
     """
 
-    k: float | np.ndarray
-    alpha: complex | np.ndarray
-    beta: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Chosen eigenvalue branch of M_k: eps = E + i*Gamma, Gamma <= 0."""
-
-    epsilon: complex | np.ndarray
+    k: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    eps: np.ndarray
 
     @property
-    def E(self):
-        return self.epsilon.real
+    def E(self) -> np.ndarray:
+        return self.eps.real
 
     @property
-    def Gamma(self):
-        return self.epsilon.imag
+    def Gamma(self) -> np.ndarray:
+        return self.eps.imag
 
 
 def momentum_grid(n_sites: int) -> np.ndarray:
@@ -118,11 +114,10 @@ def _branch_eigenvalue(alpha, beta):
     return np.where(flip, -eps, eps)
 
 
-def mode_system(params: ModelParams, k) -> tuple[Mode, ModeSpectrum]:
-    """Block entries and chosen eigenvalue branch at momentum k in (0, pi).
+def mode_system(params: ModelParams, k) -> Mode:
+    """Block entries and chosen eigenvalue branch at the momenta k in (0, pi).
 
-    k may be a float or an array of momenta; an array gives a Mode and a
-    ModeSpectrum whose fields are arrays of the same shape.
+    The fields of the Mode have the shape of k.
     """
     ks = np.asarray(k, dtype=float)
     if not np.all((ks > 0.0) & (ks < np.pi)):
@@ -133,10 +128,7 @@ def mode_system(params: ModelParams, k) -> tuple[Mode, ModeSpectrum]:
     alpha.real = -2.0 * np.cos(ks) - 2.0 * params.h
     alpha.imag = -0.5 * params.gamma
     beta = 2.0 * np.sin(ks)
-    eps = _branch_eigenvalue(alpha, beta)
-    if ks.ndim == 0:
-        return Mode(float(ks), complex(alpha), float(beta)), ModeSpectrum(complex(eps))
-    return Mode(ks, alpha, beta), ModeSpectrum(eps)
+    return Mode(ks, alpha, beta, _branch_eigenvalue(alpha, beta))
 
 
 def critical_gamma(h: float) -> float:
@@ -153,17 +145,16 @@ def critical_momentum(h: float) -> float:
     return math.acos(-h)
 
 
-def critical_mode_system(h: float, gamma: float) -> tuple[Mode, ModeSpectrum]:
-    """Mode exactly at k_c, where Re(alpha) = 0 analytically.
+def critical_mode_system(h: float, gamma: float) -> Mode:
+    """Mode exactly at k_c, where Re(alpha) = 0 analytically, as 0-d arrays.
 
     Built from the closed forms alpha = -i gamma / 2, beta = 2 sqrt(1 - h^2)
     rather than from cos(arccos(-h)), so Gamma_{k_c} = 0 holds exactly for
     gamma <= gamma_c instead of up to round-off.
     """
-    kc = critical_momentum(h)
-    alpha = complex(0.0, -0.5 * gamma)
-    beta = 2.0 * math.sqrt(1.0 - h * h)
-    return Mode(kc, alpha, beta), ModeSpectrum(complex(_branch_eigenvalue(alpha, beta)))
+    alpha = np.array(complex(0.0, -0.5 * gamma))
+    beta = np.array(2.0 * math.sqrt(1.0 - h * h))
+    return Mode(np.array(critical_momentum(h)), alpha, beta, _branch_eigenvalue(alpha, beta))
 
 
 def gap_character(params: ModelParams, atol: float = 1e-9) -> str:
@@ -187,8 +178,8 @@ def spectrum_table(params: ModelParams) -> np.ndarray:
     """
     ks = momentum_grid(params.n_sites)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, spec = mode_system(params, ks)
-    table = np.column_stack([ks, spec.E, spec.Gamma])
+        mode = mode_system(params, ks)
+    table = np.column_stack([ks, mode.E, mode.Gamma])
     if not np.all(np.isfinite(table)):
         raise NumericalFault(
             f"spectrum is not finite at h = {params.h!r}, gamma = {params.gamma!r}"

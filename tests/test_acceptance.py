@@ -9,9 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mipt_qfi import ed
+from mipt_qfi import ed, pfaffian
 from mipt_qfi.experiments import run_experiment
-from mipt_qfi.pfaffian import pfaffian
 from mipt_qfi.qfi import _quadrature_entries, fbar, qfi_quench, r_matrix
 from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 from mipt_qfi.realspace import _kernel, evolve, init_state, witness_qfi
@@ -200,10 +199,10 @@ class TestCriterion7StructuralInvariants:
             k = rng.uniform(0.05, np.pi - 0.05)
             t = rng.uniform(0.0, 4.0)
             p = ModelParams(8, h, gamma)
-            mode, spec = mode_system(p, k)
-            r = r_matrix(mode, spec, t)
+            mode = mode_system(p, k)
+            r = r_matrix(mode, t)
             rc = (r[0, 0], r[0, 1], r[1, 0])
-            rq = _quadrature_entries(mode, spec, t)
+            rq = _quadrature_entries(mode, t)
             scale = max(1.0, *(abs(x) for x in rc))
             delta = max(abs(a - b) for a, b in zip(rc, rq)) / scale
             worst = max(worst, delta)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import mipt_qfi
-from mipt_qfi import experiments
+from mipt_qfi import ed, experiments
 from mipt_qfi.cli import main
 from mipt_qfi.experiments import load_config, run_experiment, validate_config
 from mipt_qfi.errors import ConfigError
@@ -267,6 +268,23 @@ class TestCliContract:
         assert "numerical fault" in result.output
         assert not (tmp_path / "spectrum.csv").exists()
 
+    def test_underflowed_quench_qfi_exits_with_numerical_fault(self, tmp_path):
+        # F underflows to 0 at t = 1e-170, and the growth-rate fit takes log F
+        params = {"n_sites": 8, "h": 0.3, "gamma": 2.0, "times": [1e-170, 1e-160, 1e-150]}
+        cfg = write_config(tmp_path / "c.json", {"experiment": "quench-series", "params": params})
+        result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 4, result.output
+        assert "numerical fault" in result.output and "t = 1e-170" in result.output
+        assert not (tmp_path / "quench-series.csv").exists()
+
+    def test_oracle_rate_below_the_difference_step_is_a_config_error(self, tmp_path):
+        # the finite-difference oracle would evaluate the negative rate gamma - step
+        params = {"quench_sizes": [4], "gammas": [0.0], "witness_sizes": []}
+        cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
+        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "'params/gammas/0'" in result.output and repr(ed.FD_STEP) in result.output
+
     def test_threads_option_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)
         result = CliRunner().invoke(
@@ -332,6 +350,34 @@ class TestCliContract:
         summary = json.loads((tmp_path / "quench-series.json").read_text())
         names = [f["name"] for f in summary["results"]["fits"]]
         assert "growth_rate" in names
+
+
+# configs at the edges of what validation lets through; each must end in a
+# documented exit code, never in a Python traceback
+EDGE_CONFIGS = {
+    "quench-underflow": {"experiment": "quench-series", "params": {
+        "n_sites": 8, "h": 0.3, "gamma": 2.0, "times": [1e-170, 1e-160, 1e-150]}},
+    "oracle-zero-rate": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "gammas": [0.0], "witness_sizes": []}},
+    "spectrum-huge-rate": {"experiment": "spectrum", "params": {"n_sites": 8, "h": 0.3, "gamma": 1e308}},
+    "fbar-zero-rate": {"experiment": "fbar-sweep", "params": {"h": 0.3, "gammas": [0.0]}},
+    "critical-field-near-one": {"experiment": "critical-exponent", "params": {"h": 0.999999999999}},
+}
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("name", sorted(EDGE_CONFIGS))
+    def test_edge_config_exits_with_a_documented_code(self, tmp_path, name):
+        config = EDGE_CONFIGS[name]
+        cfg = write_config(tmp_path / "c.json", config)
+        src = str(Path(mipt_qfi.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mipt_qfi.cli", config["experiment"], "--config", cfg,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode in (0, 2, 3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestRuntimeDependencies:

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mipt_qfi import _kernels, ed, realspace
+from mipt_qfi import _kernels, ed, pfaffian, realspace
 from mipt_qfi.errors import NumericalFault
-from mipt_qfi.pfaffian import pfaffian
 from mipt_qfi.realspace import evolve, init_state, majorana_correlations
 from mipt_qfi.spectral import ModelParams
 
@@ -26,26 +25,30 @@ STATES = [
 
 
 @functools.lru_cache(maxsize=None)
-def _majorana_matrix(n, kind, gamma, t, dt):
+def evolved_state(n, kind, gamma, t, dt=0.05):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degenerate h = 0 ground start
         state = init_state(n, kind)
-    state = evolve(state, ModelParams(n, 0.0, gamma, "open"), dt, int(round(t / dt)))
-    return majorana_correlations(state)
+    return evolve(state, ModelParams(n, 0.0, gamma, "open"), dt, int(round(t / dt)))
 
 
-def majorana_matrix(n, kind, gamma, t, dt=0.05):
-    return _majorana_matrix(n, kind, gamma, t, dt).copy()
+@functools.lru_cache(maxsize=None)
+def _majorana_matrix(n, kind, gamma, t):
+    return majorana_correlations(evolved_state(n, kind, gamma, t))
 
 
-def pairwise_table(g):
-    """<x_i x_j> = i^d Pf(g_block), one pivoted complex Pfaffian per pair."""
-    n = g.shape[0] // 2
+def majorana_matrix(n, kind, gamma, t):
+    return _majorana_matrix(n, kind, gamma, t).copy()
+
+
+def pairwise_table(gamma):
+    """<x_i x_j> = (-1)^d Pf(Gamma_block), one pivoted Pfaffian per pair."""
+    n = gamma.shape[0] // 2
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            block = g[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
-            out[i, j] = ((1j) ** (j - i) * pfaffian(block)).real
+            block = gamma[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
+            out[i, j] = (-1) ** (j - i) * pfaffian(block)
     return out
 
 
@@ -81,7 +84,7 @@ def row_by_row_pfaffians(a):
         out[k // 2 + 1] = pf * pf4
         if abs(pf4) <= tol * scale**2:
             for m in range(k // 2 + 2, n // 2):
-                out[m] = _kernels.pfaffian_numpy(a[: 2 * m + 2, : 2 * m + 2]).real
+                out[m] = pfaffian(a[: 2 * m + 2, : 2 * m + 2])
                 steps["pivoted"] += 1
             break
         pf *= pf4
@@ -101,10 +104,9 @@ def row_by_row_pfaffians(a):
     return out, steps
 
 
-def row_by_row_table(g):
+def row_by_row_table(gamma):
     """xx_table and its branch counts, one row elimination at a time."""
-    gamma = g.imag
-    n = g.shape[0] // 2
+    n = gamma.shape[0] // 2
     out = np.zeros((n, n))
     total = {"2x2": 0, "4x4": 0, "pivoted": 0}
     for i in range(n - 1):
@@ -116,9 +118,9 @@ def row_by_row_table(g):
     return out, total
 
 
-def table_steps(g):
+def table_steps(gamma):
     steps = {}
-    table = _kernels.xx_table(g, steps)
+    table = _kernels.xx_table(gamma, steps)
     return table, steps
 
 
@@ -202,7 +204,7 @@ def planted_gamma(row, block, seed):
 
 
 class TestStringTableBranches:
-    """The cases of TestLeadingPfaffians, planted in one row of the table."""
+    """Each branch of the elimination, planted in one row of the table."""
 
     def test_one_group(self):
         n = 2 * TABLE_SITES - 2
@@ -210,14 +212,13 @@ class TestStringTableBranches:
         assert rows == TABLE_SITES - 1
 
     def check(self, gamma, row):
-        g = 1j * gamma
-        table, steps = table_steps(g)
-        np.testing.assert_allclose(table, pairwise_table(g), rtol=1e-10, atol=1e-15)
-        ref, ref_steps = row_by_row_table(g)
+        table, steps = table_steps(gamma)
+        np.testing.assert_allclose(table, pairwise_table(gamma), rtol=1e-10, atol=1e-15)
+        ref, ref_steps = row_by_row_table(gamma)
         np.testing.assert_allclose(table, ref, rtol=1e-10, atol=1e-15)
         assert steps == ref_steps
         m = 2 * TABLE_SITES - 1
-        return row_by_row_pfaffians(gamma[2 * row + 1 : m, 2 * row + 1 : m])[1], steps
+        return row_by_row_pfaffians(gamma[2 * row + 1 : m, 2 * row + 1 : m])[1], table
 
     @pytest.mark.parametrize("row", [MID, STRADDLE])
     def test_generic_matrix(self, row):
@@ -245,9 +246,11 @@ class TestStringTableBranches:
         lo = 2 * row + 1
         gamma[lo : lo + lead, lo + len(block) :] = 0.0
         gamma[lo + len(block) :, lo : lo + lead] = 0.0
-        row_steps, _ = self.check(gamma, row)
+        row_steps, table = self.check(gamma, row)
         m = TABLE_SITES - 1 - row  # Pfaffians in the row
         assert row_steps == {"2x2": lead // 2, "4x4": 0, "pivoted": m - lead // 2 - 2}
+        # the blocks that end in the zero 2x2 and 4x4 pivots are exactly singular
+        assert np.all(table[row, row + lead // 2 + 1 : row + lead // 2 + 3] == 0.0)
 
     def test_4x4_step_with_a_decoupled_first_row(self):
         # S4[0, 2] = S4[0, 3] = 0: a small pivot s01 whose 4x4 block only
@@ -265,39 +268,6 @@ class TestStringTableBranches:
             gamma[r, lo : lo + 6], gamma[lo : lo + 6, r] = keep, -keep
         row_steps, _ = self.check(gamma, MID)
         assert row_steps["4x4"] >= 1 and row_steps["pivoted"] == 0
-
-
-class TestLeadingPfaffians:
-    @pytest.mark.parametrize("n", [2, 6, 12, 20])
-    def test_generic_matrix_matches_pivoted(self, n):
-        a = random_real_antisymmetric(n, n)
-        pf, steps = _kernels.leading_pfaffians(a)
-        ref = [_kernels.pfaffian_numpy(a[:k, :k]).real for k in range(2, n + 1, 2)]
-        np.testing.assert_allclose(pf, ref, rtol=1e-10)
-        assert steps == {"2x2": n // 2, "4x4": 0, "pivoted": 0}
-
-    def test_singular_2x2_pivot_takes_a_4x4_step(self):
-        a = random_real_antisymmetric(10, 3)
-        a[0, 1] = a[1, 0] = 0.0
-        pf, steps = _kernels.leading_pfaffians(a)
-        ref = [_kernels.pfaffian_numpy(a[:k, :k]).real for k in range(2, 11, 2)]
-        np.testing.assert_allclose(pf, ref, rtol=1e-10, atol=1e-15)
-        assert steps["4x4"] == 1 and steps["pivoted"] == 0
-
-    @pytest.mark.parametrize("lead", [0, 2])
-    def test_singular_2x2_and_4x4_blocks_fall_back_to_pivoting(self, lead):
-        # a regular 2x2 lead (or none), then a block whose leading 4x4 is zero
-        n = lead + 12
-        a = np.zeros((n, n))
-        a[lead:, lead:] = random_real_antisymmetric(12, 7)
-        a[lead : lead + 4, lead : lead + 4] = 0.0
-        if lead:
-            a[0, 1], a[1, 0] = 0.5, -0.5
-        pf, steps = _kernels.leading_pfaffians(a)
-        ref = [_kernels.pfaffian_numpy(a[:k, :k]).real for k in range(2, n + 1, 2)]
-        np.testing.assert_allclose(pf, ref, rtol=1e-10, atol=1e-15)
-        assert steps == {"2x2": lead // 2, "4x4": 0, "pivoted": n // 2 - lead // 2 - 2}
-        assert np.all(pf[lead // 2 : lead // 2 + 2] == 0.0)
 
 
 class TestStringTableMemory:
@@ -325,11 +295,21 @@ class TestStringTableMemory:
 
 
 class TestMajoranaMatrixChecks:
-    def test_real_part_raises(self):
-        g = majorana_matrix(8, "hermitian-ground", 0.75, 1.0)
-        g = g + 1e-3 * random_real_antisymmetric(16, 1)
-        with pytest.raises(NumericalFault, match="real part"):
-            _kernels.xx_table(g)
+    @pytest.mark.parametrize("kind,gamma,t", STATES)
+    def test_real_and_exactly_antisymmetric(self, kind, gamma, t):
+        # the imaginary part of the complex product (G - G^T) / 2, G = M M+,
+        # is the same matrix, and its real part is round-off
+        gam = majorana_matrix(16, kind, gamma, t)
+        assert gam.dtype == np.float64
+        assert np.array_equal(gam, -gam.T)
+        st_ = evolved_state(16, kind, gamma, t)
+        m = np.empty((32, 16), dtype=complex)
+        m[0::2] = st_.U + st_.V
+        m[1::2] = 1j * (st_.V - st_.U)
+        g = m @ m.conj().T
+        g = 0.5 * (g - g.T)
+        np.testing.assert_allclose(gam, g.imag, rtol=0, atol=1e-15)
+        assert np.max(np.abs(g.real)) <= 1e-15
 
     def test_non_finite_entry_raises(self):
         g = majorana_matrix(8, "vacuum", 0.75, 1.0)

@@ -27,16 +27,16 @@ from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 class TestRMatrix:
     def test_time_zero_vanishes(self):
         p = ModelParams(8, 0.3, 2.0)
-        mode, spec = mode_system(p, 3 * np.pi / 8)
-        r = r_matrix(mode, spec, 0.0)
+        mode = mode_system(p, 3 * np.pi / 8)
+        r = r_matrix(mode, 0.0)
         assert r.shape == (2, 2) and not np.any(r)
 
     def test_vanishing_pairing_commutes(self):
         # analytic continuation k -> 0: beta -> 0 and the generator
         # commutes with the mode matrix, so R = diag(t, -t)
         p = ModelParams(8, 0.3, 2.0)
-        mode, spec = mode_system(p, 1e-9)
-        r = r_matrix(mode, spec, 1.3)
+        mode = mode_system(p, 1e-9)
+        r = r_matrix(mode, 1.3)
         assert r[0, 0] == pytest.approx(1.3, rel=1e-12)
         # off-diagonal entries vanish linearly with the pairing strength
         bound = 10.0 * mode.beta * (1.3**2) * (1.0 + abs(mode.alpha) * 1.3)
@@ -45,40 +45,40 @@ class TestRMatrix:
 
     def test_closed_form_equals_quadrature_at_reference_point(self):
         p = ModelParams(8, 0.3, 2.0)
-        mode, spec = mode_system(p, 3 * np.pi / 8)
-        r = r_matrix(mode, spec, 1.3)
-        quad = qfi._quadrature_entries(mode, spec, 1.3)
+        mode = mode_system(p, 3 * np.pi / 8)
+        r = r_matrix(mode, 1.3)
+        quad = qfi._quadrature_entries(mode, 1.3)
         for a, b in zip((r[0, 0], r[0, 1], r[1, 0]), quad):
             assert abs(a - b) < 1e-9
 
     def test_traceless_layout(self):
         p = ModelParams(8, 0.5, 1.0)
-        mode, spec = mode_system(p, np.pi / 8)
-        arr = r_matrix(mode, spec, 0.7)
+        mode = mode_system(p, np.pi / 8)
+        arr = r_matrix(mode, 0.7)
         assert arr[1, 1] == -arr[0, 0]
 
     def test_grid_call_stacks_the_per_mode_matrices(self):
         p = ModelParams(12, 0.5, 1.0)
         ks = momentum_grid(12)
-        grid = r_matrix(*mode_system(p, ks), 0.7)
+        grid = r_matrix(mode_system(p, ks), 0.7)
         assert grid.shape == (ks.size, 2, 2)
         for k, r in zip(ks, grid):
-            np.testing.assert_allclose(r, r_matrix(*mode_system(p, float(k)), 0.7), rtol=1e-14)
+            np.testing.assert_allclose(r, r_matrix(mode_system(p, float(k)), 0.7), rtol=1e-14)
 
     def test_rejects_negative_time(self):
         p = ModelParams(8, 0.3, 2.0)
-        mode, spec = mode_system(p, np.pi / 8)
+        mode = mode_system(p, np.pi / 8)
         with pytest.raises(ValueError):
-            r_matrix(mode, spec, -1.0)
+            r_matrix(mode, -1.0)
 
     def test_quadrature_stall_reports_achieved_tolerance(self):
         from mipt_qfi.errors import QuadratureError
         from mipt_qfi.qfi import _quadrature_entries
 
         p = ModelParams(8, 0.3, 2.0)
-        mode, spec = mode_system(p, np.pi / 8)
+        mode = mode_system(p, np.pi / 8)
         with pytest.raises(QuadratureError) as err:
-            _quadrature_entries(mode, spec, 2.0, rel_tol=1e-30)
+            _quadrature_entries(mode, 2.0, rel_tol=1e-30)
         assert err.value.achieved > 0.0
 
 
@@ -110,7 +110,7 @@ class TestQuenchQfi:
             amps = evolve_amplitudes(ising_ground_amplitudes(p), p, t)
             expected = 0.0
             for i, k in enumerate(amps.k):
-                r = r_matrix(*mode_system(p, float(k)), t)
+                r = r_matrix(mode_system(p, float(k)), t)
                 w = np.array([amps.u[i], amps.v[i]])
                 w = w / np.linalg.norm(w)
                 rw = r @ w
@@ -180,8 +180,8 @@ class TestModeCoefficients:
         k_bad = momentum_grid(16)[5]
         clean = qfi._tilde_entries
 
-        def corrupted(mode, spec):
-            ta, tb, tc = clean(mode, spec)
+        def corrupted(mode):
+            ta, tb, tc = clean(mode)
             return ta, np.where(mode.k == k_bad, tb * (1.0 + 1e-6), tb), tc
 
         monkeypatch.setattr(qfi, "_tilde_entries", corrupted)
@@ -193,10 +193,10 @@ class TestModeCoefficients:
         # the closed-form A(t) on every mode
         p = ModelParams(12, 0.4, 3.0)
         coeffs = mode_qfi_coefficients(p)
-        mode, spec = mode_system(p, coeffs.k)
+        mode = mode_system(p, coeffs.k)
         t = 1.1
-        r = r_matrix(mode, spec, t)
-        eps = spec.epsilon
+        r = r_matrix(mode, t)
+        eps = mode.eps
         lin = mode.alpha**2 / eps**2 * t
         rebuilt = lin + coeffs.tilde_A * (np.exp(2j * eps * t) - np.exp(-2j * eps * t))
         np.testing.assert_allclose(r[:, 0, 0], rebuilt, rtol=1e-9, atol=1e-9)
@@ -314,11 +314,11 @@ class TestCriticalModeCoefficient:
             critical_mode_coefficient(0.3, 1e160)
 
     def test_power_overflow_raises_typed_error(self):
-        # eps**3 overflows, which Python complex arithmetic raises as OverflowError
+        # eps**3 overflows to inf, which leaves a non-finite coefficient
         with pytest.raises(NumericalFault, match="not finite"):
             critical_mode_coefficient(0.3, 1e120)
 
     def test_finite_with_negative_decay_above(self):
-        _, spec = critical_mode_system(0.6, 4.0)
-        assert spec.Gamma < 0
+        mode = critical_mode_system(0.6, 4.0)
+        assert mode.Gamma < 0
         assert np.isfinite(critical_mode_coefficient(0.6, 4.0))

@@ -8,9 +8,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipt_qfi import ed
+from mipt_qfi import ed, pfaffian
 from mipt_qfi.errors import NumericalFault
-from mipt_qfi.pfaffian import pfaffian
 from mipt_qfi.realspace import (
     GaussianState,
     _kernel,
@@ -301,8 +300,8 @@ class TestCorrelators:
         for i in range(7):
             for j in range(i + 1, 8):
                 val = xx_correlator(st_, i, j)
-                assert abs(val.imag) <= 1e-8
-                assert abs(val.real) <= 1 + 1e-8
+                assert isinstance(val, float)
+                assert abs(val) <= 1 + 1e-8
 
     def test_index_validation(self):
         st_ = init_state(6)
@@ -316,14 +315,14 @@ class TestCorrelators:
     def test_majorana_product_matches_wick_blocks(self, n, kind):
         p = ModelParams(n, 0.3, 0.75, "open")
         state = evolve(init_state(n, kind, h=0.3), p, 0.05, 60)
-        np.testing.assert_allclose(
-            majorana_correlations(state), wick_majorana_correlations(state), rtol=0, atol=1e-14
-        )
+        wick = wick_majorana_correlations(state)
+        np.testing.assert_allclose(majorana_correlations(state), wick.imag, rtol=0, atol=1e-14)
+        assert np.max(np.abs(wick.real)) <= 1e-14
 
     def test_majorana_matrix_antisymmetric_with_pfaffian_determinant_pairs(self):
         st_ = evolved(6, 2.0, 1.0)
         g = majorana_correlations(st_)
-        assert np.max(np.abs(g + g.T)) < 1e-10
+        assert g.dtype == np.float64 and np.array_equal(g, -g.T)
         rng = np.random.default_rng(3)
         for _ in range(4):
             sub = np.sort(rng.choice(12, size=6, replace=False))
@@ -356,23 +355,25 @@ class TestWitnessQfi:
 class TestCostEnvelope:
     def test_large_chain_witness_fits_single_core_budget(self):
         # the nested O(N^4) string table takes well under a second here; the
-        # per-pair O(N^5) evaluation it replaced takes ~30 s
+        # per-pair O(N^5) evaluation it replaced takes ~30 s.  Budgets are CPU
+        # time of this process, so that other processes on the same cores do
+        # not count
         p = ModelParams(128, 0.0, 0.75, "open")
         state = evolve(init_state(128), p, 0.05, 20)
-        start = time.perf_counter()
+        start = time.process_time()
         f = witness_qfi(state)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert f > 0
         assert elapsed < 5.0
 
     def test_long_frame_evolution_fits_budget(self):
         # a few chunked exponentials take well under a second here; one
-        # exponential step and QR per dt takes 10-22 s
+        # exponential step and QR per dt takes 10-22 s (CPU time, as above)
         p = ModelParams(256, 0.0, 0.75, "open")
         state = init_state(256)
-        start = time.perf_counter()
+        start = time.process_time()
         state = evolve(state, p, 0.05, 150)
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert state.orthonormality_defect() < 1e-12
         assert elapsed < 3.0
 

@@ -41,26 +41,26 @@ class TestMomentumGrid:
 class TestModeSystem:
     def test_free_point(self):
         p = ModelParams(8, 0.0, 0.0)
-        mode, spec = mode_system(p, np.pi / 2)
+        mode = mode_system(p, np.pi / 2)
         assert mode.alpha == pytest.approx(0.0)
         assert mode.beta == pytest.approx(2.0)
-        assert spec.epsilon == pytest.approx(-2.0)
+        assert mode.eps == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("h,gamma", [(0.3, 1.0), (0.6, 3.0), (-0.5, 0.7)])
     def test_critical_momentum_entries(self, h, gamma):
-        mode, spec = critical_mode_system(h, gamma)
+        mode = critical_mode_system(h, gamma)
         assert mode.alpha == pytest.approx(-0.5j * gamma)
         assert mode.beta == pytest.approx(2.0 * np.sqrt(1 - h * h))
         eps2 = 4.0 * (1 - h * h) - gamma * gamma / 4.0
-        assert spec.epsilon**2 == pytest.approx(eps2, rel=1e-12)
+        assert mode.eps**2 == pytest.approx(eps2, rel=1e-12)
 
     def test_against_dense_eigensolver(self):
         p = ModelParams(8, 0.3, 2.0)
-        mode, spec = mode_system(p, np.pi / 4)
+        mode = mode_system(p, np.pi / 4)
         m = np.array([[mode.alpha, mode.beta], [mode.beta, -mode.alpha]])
         eigs = np.linalg.eigvals(m)
         chosen = min(eigs, key=lambda e: (e.imag, e.real))
-        assert spec.epsilon == pytest.approx(chosen, rel=1e-12)
+        assert mode.eps == pytest.approx(chosen, rel=1e-12)
 
     def test_rejects_momentum_outside_domain(self):
         p = ModelParams(8, 0.3, 1.0)
@@ -76,20 +76,20 @@ class TestModeSystem:
     def test_eigenvalue_identity_on_grid(self, h, gamma):
         p = ModelParams(64, h, gamma)
         ks = momentum_grid(64)
-        modes, specs = mode_system(p, ks)
+        modes = mode_system(p, ks)
         on_kc = modes.alpha.real == 0.0
         assert on_kc.any() == (h == self.H_KC_ON_GRID)
         if gamma < critical_gamma(h):
-            assert np.all(specs.Gamma[on_kc] == 0.0)
-        assert np.all(specs.Gamma <= 0.0)
-        assert np.all(specs.E[specs.Gamma == 0.0] <= 0.0)
+            assert np.all(modes.Gamma[on_kc] == 0.0)
+        assert np.all(modes.Gamma <= 0.0)
+        assert np.all(modes.E[modes.Gamma == 0.0] <= 0.0)
         for i, k in enumerate(ks):
-            mode, spec = mode_system(p, float(k))
+            mode = mode_system(p, float(k))
             assert (mode.k, mode.alpha, mode.beta) == (modes.k[i], modes.alpha[i], modes.beta[i])
-            assert spec.epsilon == specs.epsilon[i]
-            assert np.signbit([spec.E, spec.Gamma]).tolist() == np.signbit(
-                [specs.E[i], specs.Gamma[i]]).tolist()
-            lhs = spec.epsilon**2
+            assert mode.eps == modes.eps[i]
+            assert np.signbit([mode.E, mode.Gamma]).tolist() == np.signbit(
+                [modes.E[i], modes.Gamma[i]]).tolist()
+            lhs = mode.eps**2
             rhs = mode.alpha**2 + mode.beta**2
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -106,7 +106,7 @@ class TestModeSystem:
         gammas = np.linspace(0.05, 2.5 * critical_gamma(0.3), 400)
         for k in momentum_grid(16):
             eps = np.array(
-                [mode_system(p0.with_gamma(float(g)), float(k))[1].epsilon for g in gammas]
+                [mode_system(p0.with_gamma(float(g)), float(k)).eps for g in gammas]
             )
             jumps = np.abs(np.diff(eps))
             assert np.max(jumps) < 12.0 * (np.median(jumps) + 1e-9)
@@ -138,18 +138,18 @@ class TestCriticality:
         for h in (0.0, 0.3, 0.6):
             gc = critical_gamma(h)
             for gamma in (0.0, 0.4 * gc, 0.95 * gc):
-                _, spec = critical_mode_system(h, gamma)
-                assert spec.Gamma == 0.0
-                assert spec.E <= 0.0
+                mode = critical_mode_system(h, gamma)
+                assert mode.Gamma == 0.0
+                assert mode.E <= 0.0
 
     def test_spectrum_shape_across_transition(self):
         # below gamma_c: real gap at k_c, Gamma vanishes there;
         # above: real part closes at k_c while Gamma stays negative
         h = 0.3
         gc = critical_gamma(h)
-        _, below = critical_mode_system(h, 0.5 * gc)
+        below = critical_mode_system(h, 0.5 * gc)
         assert abs(below.E) > 0.1 and below.Gamma == 0.0
-        _, above = critical_mode_system(h, 1.5 * gc)
+        above = critical_mode_system(h, 1.5 * gc)
         assert above.E == pytest.approx(0.0, abs=1e-12) and above.Gamma < 0.0
 
     def test_spectrum_table_raises_on_overflow(self):
