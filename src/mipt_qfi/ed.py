@@ -24,7 +24,8 @@ differentiate the normalized state of `evolve_dense`, whose sector
 exponentials are the numpy Pade approximant `_kernels.expm`.  The
 covariance of the time-integrated generator takes one eigendecomposition
 of H_eff per sector, which gives the evolved state and the integral in
-closed form, with no quadrature.
+closed form, with no quadrature, at every requested time: one call with
+an array of times decomposes each sector once.
 """
 
 from __future__ import annotations
@@ -214,8 +215,10 @@ def qfi_finite_difference(
     return rich
 
 
-def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: str = "gamma") -> float:
-    """QFI from the covariance of the time-integrated generator.
+def o_covariance_qfi(
+    params: ModelParams, t: float | np.ndarray, initial: DenseState, wrt: str = "gamma"
+) -> float | np.ndarray:
+    """QFI from the covariance of the time-integrated generator, at every time of t.
 
     O = int_0^t exp(-i H_eff s) G exp(i H_eff s) ds with G the derivative
     of -i H_eff (G = -(1/2) sum_i n_i for the rate, +i sum_i s^z_i for the
@@ -227,8 +230,15 @@ def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: st
     e^{-i w_b t} c_b; the product is applied to the unevolved c_b as the
     bounded kernel (e^{-i w_b t} - e^{-i w_a t}) / (i d), since Im w <= 0,
     and in the csinc form where |d t| < 1.  F = 4 (<O+O> - |<O>|^2) on the
-    normalized state.  Raises NumericalFault when an eigenbasis is
-    ill-conditioned, the state loses its norm, or F is not finite.
+    normalized state.
+
+    t is a time or an array of times.  The decomposition, its condition
+    check, V^-1 and V^-1 G V do not depend on t and are made once per
+    sector; each time adds only its phases, its kernel and two mat-vecs.
+    A scalar t is the same code on a 0-d array and returns a float; an
+    array returns an array of its shape.  Raises NumericalFault when an
+    eigenbasis is ill-conditioned, or, at the first time where it happens,
+    when the state loses its norm or F is not finite.
     """
     n = params.n_sites
     if n > MAX_QUADRATURE_SITES:
@@ -242,36 +252,54 @@ def o_covariance_qfi(params: ModelParams, t: float, initial: DenseState, wrt: st
         gen = 1j * (2 * occupied - n)
     else:
         raise ValueError(f"unknown parameter {wrt!r}")
+    times = np.asarray(t, dtype=float)
 
-    psi = np.zeros(2**n, dtype=complex)
-    o_psi = np.zeros_like(psi)
+    sectors = []
+    for rows in _occupied_sectors(initial):
+        vals, vecs = np.linalg.eig(_generator(params, rows))
+        cond = np.linalg.cond(vecs)
+        if cond > 1e8:
+            raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
+        vecs_inv = np.linalg.inv(vecs)
+        rotated = (vecs_inv * gen[rows]) @ vecs
+        gap = np.subtract.outer(vals, vals)
+        sectors.append((rows, vals, vecs, vecs_inv @ initial.amplitudes[rows], rotated, gap))
+
+    qfi = np.empty(times.shape)
     # at extreme times O itself overflows; the checks below decide, quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _occupied_sectors(initial):
-            vals, vecs = np.linalg.eig(_generator(params, rows))
-            cond = np.linalg.cond(vecs)
-            if cond > 1e8:
-                raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
-            vecs_inv = np.linalg.inv(vecs)
-            coeffs = vecs_inv @ initial.amplitudes[rows]
-            phase = np.exp(-1j * t * vals)
-            gap = np.subtract.outer(vals, vals)
-            near = np.abs(gap * t) < 1.0
-            half = np.where(near, 0.5 * t * gap, 0.0)
-            kernel = np.where(
-                near,
-                t * np.exp(-1j * half) * csinc(half) * phase,
-                (phase - phase[:, None]) / (1j * np.where(near, 1.0, gap)),
-            )
-            psi[rows] = vecs @ (phase * coeffs)
-            o_psi[rows] = vecs @ (((vecs_inv * gen[rows]) @ vecs * kernel) @ coeffs)
-        norm = _evolved_norm(psi, t)
-        psi /= norm
-        o_psi /= norm
-        qfi = 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
-    if not np.isfinite(qfi):
-        raise NumericalFault(f"Sneddon QFI is not finite ({qfi}) at t = {t}, {params}")
-    return float(qfi)
+        for i, ti in np.ndenumerate(times):
+            ti = float(ti)  # the arithmetic of a scalar call, to the last bit
+            psi = np.zeros(2**n, dtype=complex)
+            o_psi = np.zeros_like(psi)
+            for rows, vals, vecs, coeffs, rotated, gap in sectors:
+                phase = np.exp(-1j * ti * vals)
+                psi[rows] = vecs @ (phase * coeffs)
+                # a named kernel: numpy would reuse a temporary right operand
+                # as the output, and its complex product is not bitwise
+                # symmetric in the two factors
+                kernel = _integral_kernel(gap, phase, ti)
+                o_psi[rows] = vecs @ ((rotated * kernel) @ coeffs)
+            norm = _evolved_norm(psi, ti)
+            psi /= norm
+            o_psi /= norm
+            qfi[i] = 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
+            if not np.isfinite(qfi[i]):
+                raise NumericalFault(f"Sneddon QFI is not finite ({qfi[i]}) at t = {ti}, {params}")
+    return float(qfi) if qfi.ndim == 0 else qfi
+
+
+def _integral_kernel(gap: np.ndarray, phase: np.ndarray, t: float) -> np.ndarray:
+    """(e^{-i w_b t} - e^{-i w_a t}) / (i d_ab) with d = gap and e^{-i w t} = phase.
+
+    Where |d t| < 1 it is t e^{-i d t/2} csinc(d t/2) e^{-i w_b t}, which
+    is evaluated on those entries only.
+    """
+    near = np.abs(gap * t) < 1.0
+    kernel = (phase - phase[:, None]) / (1j * np.where(near, 1.0, gap))
+    half = 0.5 * t * gap[near]
+    kernel[near] = t * np.exp(-1j * half) * csinc(half) * np.broadcast_to(phase, gap.shape)[near]
+    return kernel
 
 
 def _sx_apply(state: DenseState) -> np.ndarray:

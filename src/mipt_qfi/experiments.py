@@ -380,13 +380,14 @@ def _run_oracle(params: dict):
 
     for n in params["quench_sizes"]:
         for h in params["hs"]:
+            # the gamma = 0 ground state: one per (n, h)
+            gs, _ = ed.dense_ground_state(ModelParams(n, h, 0.0, "periodic"))
             for g in params["gammas"]:
                 p = ModelParams(n, h, g, "periodic")
-                gs, _ = ed.dense_ground_state(p)
-                for t in params["times"]:
+                f_sns = ed.o_covariance_qfi(p, params["times"], gs)
+                for t, f_sn in zip(params["times"], f_sns.tolist()):
                     f_modes = qfi_quench(p, t)
                     f_fd = ed.qfi_finite_difference(p, t, gs)
-                    f_sn = ed.o_covariance_qfi(p, t, gs)
                     scale = max(abs(f_fd), 1e-12)
                     tag = f"quench[N={n},h={h},gamma={g},t={t}]"
                     add(f"{tag} modes_vs_fd", abs(f_modes - f_fd) / scale, params["tol_quench"])

@@ -101,6 +101,10 @@ class ModeQfiCoefficient:
 
 def _closed_form_entries(mode: Mode, t):
     alpha, beta, eps = mode.alpha, mode.beta, mode.eps
+    # float64 overflows to inf under the caller's errstate where a Python
+    # float raises OverflowError; a scalar t stays a numpy scalar, whose
+    # power rounds like the Python float's and unlike the array loop's
+    t = np.asarray(t, dtype=float)[()]
     p = phi3(2.0 * eps * t)
     s2 = csinc(eps * t) ** 2
     a = t + 4.0 * beta * beta * t**3 * p

@@ -84,7 +84,8 @@ class GaussianState:
 def _hermitian_kernel(n: int, h: float) -> np.ndarray:
     """Real K_herm = [[A, P], [-P, -A]] with A = A_hop - 2 h I."""
     bond = np.eye(n, k=1)
-    a = bond + bond.T - 2.0 * h * np.eye(n)
+    # np.diag, not h * eye: an infinite h leaves the zeros zero, not 0 * inf
+    a = bond + bond.T - np.diag(np.full(n, 2.0 * h))
     p = bond - bond.T
     return np.block([[a, p], [-p, -a]])
 
@@ -103,7 +104,8 @@ def init_state(n_sites: int, kind: str = "vacuum", h: float = 0.0) -> GaussianSt
     the negative-eigenvalue single-particle modes of the open-chain kernel
     at rate zero and field h; at h = 0 the end zero-mode makes the choice
     degenerate, which is warned about and lifted by the eigensolver's
-    deterministic negative-branch pair.
+    deterministic negative-branch pair.  A field too large for float64
+    leaves the kernel non-finite and raises NumericalFault.
     """
     if n_sites < 2 or n_sites % 2 != 0:
         raise ValueError(f"n_sites must be even and >= 2, got {n_sites}")
@@ -111,7 +113,10 @@ def init_state(n_sites: int, kind: str = "vacuum", h: float = 0.0) -> GaussianSt
         return GaussianState(np.eye(n_sites, dtype=complex), np.zeros((n_sites, n_sites), complex))
     if kind != "hermitian-ground":
         raise ValueError(f"unknown initial state kind {kind!r}")
-    vals, vecs = np.linalg.eigh(_hermitian_kernel(n_sites, h))
+    kernel = _hermitian_kernel(n_sites, h)
+    if not np.all(np.isfinite(kernel)):
+        raise NumericalFault(f"open-chain kernel is not finite at field h = {h}")
+    vals, vecs = np.linalg.eigh(kernel)
     if np.min(np.abs(vals)) < 1e-12:
         warnings.warn(
             "open-chain ground state is degenerate (zero mode); "

@@ -328,6 +328,20 @@ class TestCliContract:
         csv_lines = (tmp_path / "oracle-check.csv").read_text().splitlines()
         assert csv_lines[0] == "check,delta,tolerance,ok"
 
+    def test_oracle_takes_one_ground_state_per_size_and_field(self, tmp_path, monkeypatch):
+        calls = []
+        ground = ed.dense_ground_state
+
+        def counted(params):
+            calls.append(params)
+            return ground(params)
+
+        monkeypatch.setattr(ed, "dense_ground_state", counted)
+        params = {"quench_sizes": [4, 6], "hs": [0.3, 0.5], "gammas": [0.5, 2.0],
+                  "times": [0.5, 1.5], "witness_sizes": []}
+        run_experiment({"experiment": "oracle-check", "params": params}, out_dir=tmp_path)
+        assert calls == [ModelParams(n, h, 0.0, "periodic") for n in (4, 6) for h in (0.3, 0.5)]
+
     def test_oracle_witness_off_the_time_grid(self, tmp_path):
         # neither time is a multiple of 0.05; both sides must evolve to exactly t
         params = {"quench_sizes": [], "witness_sizes": [4], "witness_gammas": [0.75],
@@ -362,6 +376,12 @@ EDGE_CONFIGS = {
     "spectrum-huge-rate": {"experiment": "spectrum", "params": {"n_sites": 8, "h": 0.3, "gamma": 1e308}},
     "fbar-zero-rate": {"experiment": "fbar-sweep", "params": {"h": 0.3, "gammas": [0.0]}},
     "critical-field-near-one": {"experiment": "critical-exponent", "params": {"h": 0.999999999999}},
+    "quench-huge-time": {"experiment": "quench-series", "params": {
+        "n_sites": 8, "h": 0.3, "gamma": 2.0, "times": [1e300, 2e300, 3e300]}},
+    "oracle-huge-time": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "times": [1e300], "witness_sizes": []}},
+    "witness-huge-initial-field": {"experiment": "witness-scaling", "params": {
+        "sizes": [4, 6, 8], "gamma": 0.75, "initial_h": 1e308}},
 }
 
 

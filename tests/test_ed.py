@@ -248,6 +248,47 @@ class TestQfiOracles:
                 o_covariance_qfi(p, 1e200, dense_vacuum(4))
 
 
+class TestCovarianceTimeArray:
+    TIMES = [0.0, 0.5, 1.5, 4.0]
+
+    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_array_equals_scalar_calls(self, n, wrt):
+        p = ModelParams(n, 0.3, 2.0)
+        gs, _ = dense_ground_state(p)
+        scalars = [o_covariance_qfi(p, t, gs, wrt=wrt) for t in self.TIMES]
+        assert all(type(f) is float for f in scalars)
+        got = o_covariance_qfi(p, np.array(self.TIMES).reshape(2, 2), gs, wrt=wrt)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got.ravel(), scalars)
+
+    @pytest.mark.parametrize("times", [[1.0], TIMES])
+    def test_one_eig_per_occupied_sector(self, monkeypatch, times):
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        p = ModelParams(6, 0.3, 2.0)
+        both = DenseState(np.full(64, 1.0 / 8.0, dtype=complex), 6)
+        for initial, sectors in ((dense_vacuum(6), 1), (both, 2)):
+            calls.clear()
+            o_covariance_qfi(p, np.array(times), initial)
+            assert calls == [(32, 32)] * sectors
+
+    def test_fault_at_the_last_time_raises(self):
+        from mipt_qfi.errors import NumericalFault
+
+        p = ModelParams(4, 0.3, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match="not finite"):
+                o_covariance_qfi(p, np.array([0.5, 1.0, 1e200]), dense_vacuum(4))
+
+
 class TestSxObservables:
     def test_product_state_variance(self):
         assert sx_variance_dense(dense_vacuum(4)) == pytest.approx(1.0, abs=1e-12)

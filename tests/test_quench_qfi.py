@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mipt_qfi import qfi
+from mipt_qfi._entire import phi3
 from mipt_qfi.ed import dense_ground_state, qfi_finite_difference
 from mipt_qfi.errors import NumericalFault
 from mipt_qfi.qfi import (
@@ -124,6 +125,13 @@ class TestQuenchQfi:
         # and overflow gave inf at t = 100 and nan from t = 200 on
         with np.errstate(all="ignore"), pytest.raises(NumericalFault, match="round-off"):
             qfi_quench(ModelParams(16, 0.3, 6.0), t)
+
+    def test_time_past_the_float_cube_raises_typed_error(self):
+        # t**3 on a Python float raised OverflowError from t ~ 5.6e102 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault):
+                qfi_quench(ModelParams(8, 0.3, 2.0), 1e300)
 
     def test_fault_beyond_the_floor_is_quiet(self):
         # the overflow on the way to inf used to print RuntimeWarnings first
@@ -322,3 +330,18 @@ class TestCriticalModeCoefficient:
         mode = critical_mode_system(0.6, 4.0)
         assert mode.Gamma < 0
         assert np.isfinite(critical_mode_coefficient(0.6, 4.0))
+
+
+class TestPhi3:
+    def test_matches_high_precision_over_every_angle(self):
+        mp = pytest.importorskip("mpmath")
+        radii = np.geomspace(1e-8, 4.0, 61)
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        z = (radii[:, None] * np.exp(1j * angles)).ravel()
+        with mp.workdps(40):
+            expected = np.array([complex((mp.sin(x) - x) / x**3) for x in map(mp.mpc, z)])
+        np.testing.assert_allclose(phi3(z), expected, rtol=1e-14, atol=0.0)
+
+    def test_keeps_the_shape_of_its_argument(self):
+        assert phi3(0.3).shape == ()
+        assert phi3(np.full((2, 3), 2.0)).shape == (2, 3)

@@ -153,6 +153,12 @@ class TestInitState:
         with pytest.warns(UserWarning):
             init_state(8, "hermitian-ground", h=0.0)
 
+    def test_non_finite_kernel_raises_before_the_eigensolver(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match="not finite"):
+                init_state(4, "hermitian-ground", h=1e308)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             init_state(8, "thermal")
