@@ -18,14 +18,17 @@ generator integral therefore run on each parity sector (2^(N-1) states)
 in which the initial state has weight; a sector without weight is never
 touched and stays exactly zero.
 
-The two QFI routes implemented here are deliberately independent of the
-free-fermion machinery and of each other.  Central finite differences
-differentiate the normalized state of `evolve_dense`, whose sector
-exponentials are the numpy Pade approximant `_kernels.expm`.  The
-covariance of the time-integrated generator takes one eigendecomposition
-of H_eff per sector, which gives the evolved state and the integral in
-closed form, with no quadrature, at every requested time: one call with
-an array of times decomposes each sector once.
+The QFI routes implemented here are deliberately independent of the
+free-fermion machinery and of each other.  `qfi_frechet` carries the
+state and its exact parameter derivative through one Taylor action of
+each sector's exponential (`_kernels.expm_frechet_action`) and needs no
+eigenbasis.  The covariance of the time-integrated generator takes one
+eigendecomposition of H_eff per sector, which gives the evolved state and
+the integral in closed form, with no quadrature, at every requested time:
+one call with an array of times decomposes each sector once.  Central
+finite differences of the normalized state of `evolve_dense`, whose
+sector exponentials are the numpy Pade approximant `_kernels.expm`, are
+the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._entire import csinc
-from ._kernels import expm
+from ._kernels import expm, expm_frechet_action
 from .errors import NumericalFault
 from .spectral import ModelParams
 
@@ -46,6 +49,7 @@ __all__ = [
     "dense_ground_state",
     "evolve_dense",
     "qfi_finite_difference",
+    "qfi_frechet",
     "o_covariance_qfi",
     "sx_variance_dense",
     "sx_expectation",
@@ -184,6 +188,46 @@ def _qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
     return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2))
 
 
+def _parameter_generator(n: int, wrt: str) -> np.ndarray:
+    """Diagonal of G = d(-i H_eff)/d(wrt) over all 2^n basis states."""
+    occupied = _occupations(n)
+    if wrt == "gamma":
+        return -0.5 * occupied
+    if wrt == "h":
+        return 1j * (2 * occupied - n)
+    raise ValueError(f"unknown parameter {wrt!r}")
+
+
+def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "gamma") -> float:
+    """QFI from the exact derivative of the normalized evolved state.
+
+    On each occupied parity sector, `expm_frechet_action` gives
+    psi = e^X psi0 and dpsi = L(X, t G) psi0, the derivative of e^X psi0
+    along X = -i t H_eff, whose parameter derivative is t G with G the
+    diagonal of `_parameter_generator`.  The derivative of the normalized
+    state, du = dpsi/|psi| - u Re<u, dpsi/|psi|> with u = psi/|psi|, keeps
+    the decay of the norm out of the final difference, and
+    F = 4 (|du|^2 - |<u, du>|^2).  Raises NumericalFault naming t when the
+    state loses its norm or the time needs more than MAX_TAYLOR_SUBSTEPS.
+    """
+    if initial.n_sites != params.n_sites:
+        raise ValueError("state size does not match params")
+    gen = _parameter_generator(params.n_sites, wrt)
+    psi = np.zeros(2**params.n_sites, dtype=complex)
+    dpsi = np.zeros_like(psi)
+    for rows in _occupied_sectors(initial):
+        try:
+            psi[rows], dpsi[rows] = expm_frechet_action(
+                -1j * t * _generator(params, rows), t * gen[rows], initial.amplitudes[rows]
+            )
+        except NumericalFault as exc:
+            raise NumericalFault(f"{exc} at t = {t}") from exc
+    norm = _evolved_norm(psi, t)
+    u = psi / norm
+    dpsi /= norm
+    return _qfi_from_derivative(u, dpsi - u * np.vdot(u, dpsi).real)
+
+
 def qfi_finite_difference(
     params: ModelParams,
     t: float,
@@ -245,13 +289,7 @@ def o_covariance_qfi(
         raise ValueError(f"quadrature oracle capped at {MAX_QUADRATURE_SITES} sites")
     if initial.n_sites != n:
         raise ValueError("state size does not match params")
-    occupied = _occupations(n)
-    if wrt == "gamma":
-        gen = -0.5 * occupied
-    elif wrt == "h":
-        gen = 1j * (2 * occupied - n)
-    else:
-        raise ValueError(f"unknown parameter {wrt!r}")
+    gen = _parameter_generator(n, wrt)
     times = np.asarray(t, dtype=float)
 
     sectors = []

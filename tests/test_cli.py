@@ -157,10 +157,13 @@ class TestConfigValidation:
             ({**QUENCH, "params": {**QUENCH["params"], "gamma": float("inf")}}, "params/gamma"),
             ({**QUENCH, "params": {**QUENCH["params"], "times": [0.1, 0.2, float("inf")]}}, "params/times/2"),
             ({**SPECTRUM, "params": {**SPECTRUM["params"], "gamma": float("inf")}}, "params/gamma"),
+            ({**SPECTRUM, "params": {**SPECTRUM["params"], "h": 10**400}}, "params/h"),
+            ({"experiment": "oracle-check", "params": {"times": [10**400]}}, "params/times/0"),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, payload, field):
-        # json writes and reads the NaN / Infinity literals
+        # json writes and reads the NaN / Infinity literals, and integers of
+        # any size, whose float would be infinite
         cfg = write_config(tmp_path / "c.json", payload)
         result = CliRunner().invoke(main, [payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 2, result.output
@@ -278,12 +281,14 @@ class TestCliContract:
         assert not (tmp_path / "quench-series.csv").exists()
 
     def test_oracle_rate_below_the_difference_step_is_a_config_error(self, tmp_path):
-        # the finite-difference oracle would evaluate the negative rate gamma - step
+        # the exact-derivative oracle takes no difference step, so the zero
+        # rate that finite differences had to reject now runs and passes
         params = {"quench_sizes": [4], "gammas": [0.0], "witness_sizes": []}
         cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
         result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "'params/gammas/0'" in result.output and repr(ed.FD_STEP) in result.output
+        assert result.exit_code == 0, result.output
+        checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
+        assert len(checks) == 4 and all(c["ok"] for c in checks)
 
     def test_threads_option_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)
@@ -380,6 +385,12 @@ EDGE_CONFIGS = {
         "n_sites": 8, "h": 0.3, "gamma": 2.0, "times": [1e300, 2e300, 3e300]}},
     "oracle-huge-time": {"experiment": "oracle-check", "params": {
         "quench_sizes": [4], "times": [1e300], "witness_sizes": []}},
+    "oracle-huge-time-zero-rate": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "gammas": [0.0], "times": [1e300], "witness_sizes": []}},
+    "spectrum-integer-field-beyond-float": {"experiment": "spectrum", "params": {
+        "n_sites": 8, "h": 10**400, "gamma": 1.0}},
+    "oracle-integer-time-beyond-float": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "times": [10**400], "witness_sizes": []}},
     "witness-huge-initial-field": {"experiment": "witness-scaling", "params": {
         "sizes": [4, 6, 8], "gamma": 0.75, "initial_h": 1e308}},
 }
@@ -395,6 +406,7 @@ class TestNoTraceback:
             [sys.executable, "-m", "mipt_qfi.cli", config["experiment"], "--config", cfg,
              "--out", str(tmp_path)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
         )
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr

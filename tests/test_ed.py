@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from mipt_qfi._kernels import expm_frechet_action
 from mipt_qfi.ed import (
     DenseState,
     build_h_eff,
@@ -16,10 +17,12 @@ from mipt_qfi.ed import (
     o_covariance_qfi,
     occupation_profile,
     qfi_finite_difference,
+    qfi_frechet,
     sx_expectation,
     sx_variance_dense,
     xx_correlator_dense,
 )
+from mipt_qfi.errors import NumericalFault
 from mipt_qfi.spectral import ModelParams
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -248,6 +251,74 @@ class TestQfiOracles:
                 o_covariance_qfi(p, 1e200, dense_vacuum(4))
 
 
+class TestQfiFrechet:
+    @pytest.mark.parametrize("wrt,rel", [("gamma", 1e-12), ("h", 1e-11)])
+    def test_matches_covariance_on_the_criterion_5_grid(self, wrt, rel):
+        times = (0.3, 1.0, 3.0)
+        for n in (4, 6, 8):
+            for h in (0.1, 0.3, 0.6):
+                for gamma in (0.5, 2.0, 4.5):
+                    p = ModelParams(n, h, gamma)
+                    gs, _ = dense_ground_state(p)
+                    covariance = o_covariance_qfi(p, np.array(times), gs, wrt=wrt)
+                    for t, expected in zip(times, covariance):
+                        assert qfi_frechet(p, t, gs, wrt=wrt) == pytest.approx(expected, rel=rel)
+
+    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_pair_matches_scipy_frechet_on_a_sector_block(self, n, wrt):
+        # (e^A v, L(A, diag(e)) v) on the even block of X = -i t H_eff, e = t G
+        p, t = ModelParams(n, 0.3, 2.0), 1.5
+        even, _ = parity_masks(n)
+        a = -1j * t * build_h_eff(p)[np.ix_(even, even)]
+        occupied = occupations(n)[even]
+        e = t * (-0.5 * occupied if wrt == "gamma" else 1j * (2 * occupied - n))
+        v = random_state(n - 1, 3).amplitudes
+        exp_a, frechet = sla.expm_frechet(a, np.diag(e))
+        psi, dpsi = expm_frechet_action(a, e, v)
+        np.testing.assert_allclose(psi, exp_a @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dpsi, frechet @ v, rtol=0, atol=1e-13 * np.linalg.norm(frechet @ v))
+
+    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    def test_time_zero_is_exactly_zero(self, wrt):
+        p = ModelParams(6, 0.3, 2.0)
+        assert qfi_frechet(p, 0.0, dense_ground_state(p)[0], wrt=wrt) == 0.0
+
+    def test_vacuum_start_never_touches_the_odd_sector(self, monkeypatch):
+        import mipt_qfi.ed as ed_module
+
+        blocks = []
+
+        def recorded(a, e, v):
+            blocks.append(v.copy())
+            return expm_frechet_action(a, e, v)
+
+        monkeypatch.setattr(ed_module, "expm_frechet_action", recorded)
+        p = ModelParams(6, 0.3, 2.0)
+        value = qfi_frechet(p, 1.5, dense_vacuum(6))
+        even, _ = parity_masks(6)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], dense_vacuum(6).amplitudes[even])
+        assert value == pytest.approx(o_covariance_qfi(p, 1.5, dense_vacuum(6)), rel=1e-12)
+
+    def test_exceptional_point_matches_finite_difference(self):
+        # at h = 0, gamma = 4 the H_eff eigenbasis of N = 6 is defective
+        # (cond 8.4e8), so the covariance route refuses; the Taylor action
+        # needs no eigenbasis
+        p = ModelParams(6, 0.0, 4.0)
+        gs, _ = dense_ground_state(p)
+        with pytest.raises(NumericalFault, match="ill-conditioned"):
+            o_covariance_qfi(p, 1.0, gs)
+        for initial in (gs, dense_vacuum(6)):
+            f_fd = qfi_finite_difference(p, 1.0, initial)
+            assert qfi_frechet(p, 1.0, initial) == pytest.approx(f_fd, rel=1e-8)
+
+    def test_time_beyond_the_substep_cap_raises_naming_it(self):
+        p = ModelParams(4, 0.3, 0.0)
+        with pytest.raises(NumericalFault, match=r"MAX_TAYLOR_SUBSTEPS = 80 at t = 1e\+300"):
+            qfi_frechet(p, 1e300, dense_vacuum(4))
+
+
 class TestCovarianceTimeArray:
     TIMES = [0.0, 0.5, 1.5, 4.0]
 
@@ -403,6 +474,7 @@ class TestParitySectors:
         expected = 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
         assert o_covariance_qfi(self.params, self.t, initial) == pytest.approx(expected, rel=1e-9)
         assert qfi_finite_difference(self.params, self.t, initial) == pytest.approx(expected, rel=1e-9)
+        assert qfi_frechet(self.params, self.t, initial) == pytest.approx(expected, rel=1e-12)
 
     def test_vacuum_start_leaves_odd_sector_exactly_zero(self):
         _, odd = parity_masks(6)
@@ -413,14 +485,15 @@ class TestParitySectors:
 
 class TestCostEnvelope:
     def test_ten_site_oracle_fits_budget(self):
-        # parity-sector evolution and the generator integral take ~1.6 s here; full-space
-        # exponentials of Kronecker-built operators took ~25 s.  CPU time of this
-        # process, so that other processes on the same cores do not count
+        # the exact derivative and the generator integral on one parity sector
+        # take ~1 s here; full-space exponentials of Kronecker-built operators
+        # took ~25 s.  CPU time of this process, so that other processes on the
+        # same cores do not count
         p = ModelParams(10, 0.3, 2.0)
         start = time.process_time()
         gs, _ = dense_ground_state(p)
-        f_fd = qfi_finite_difference(p, 1.0, gs)
+        f_exact = qfi_frechet(p, 1.0, gs)
         f_cov = o_covariance_qfi(p, 1.0, gs)
         elapsed = time.process_time() - start
-        assert f_fd == pytest.approx(f_cov, rel=1e-6)
+        assert f_exact == pytest.approx(f_cov, rel=1e-11)
         assert elapsed < 10.0

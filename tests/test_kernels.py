@@ -366,3 +366,35 @@ class TestExpm:
         a[1, 2] = np.nan
         with pytest.raises(NumericalFault, match="non-finite"):
             _kernels.expm(a)
+
+
+class TestExpmFrechetAction:
+    @pytest.mark.parametrize("norm", [0.05, 0.5, 5.0, 50.0])
+    def test_non_normal_matrix_matches_scipy(self, norm):
+        # a dense complex matrix without the structure of H_eff, across
+        # schedules of one to six substeps
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        a = norm * x / np.linalg.norm(x, 1)
+        e = rng.normal(size=12) + 1j * rng.normal(size=12)
+        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+        exp_a, frechet = sla.expm_frechet(a, np.diag(e))
+        psi, dpsi = _kernels.expm_frechet_action(a, e, v)
+        assert rel_dev(psi, exp_a @ v) < 1e-13
+        assert rel_dev(dpsi, frechet @ v) < 1e-13
+
+    def test_scalar_matrix_still_differentiates(self):
+        # a multiple of the identity shifts to x = 0, whose exponential
+        # needs no Taylor term; its derivative needs one
+        mu = 0.3 - 0.2j
+        e = np.array([1.0, -2.0, 0.5, 3.0])
+        v = np.array([1.0, 2.0j, -1.0, 0.5])
+        psi, dpsi = _kernels.expm_frechet_action(mu * np.eye(4), e, v)
+        assert rel_dev(psi, np.exp(mu) * v) < 1e-15
+        assert rel_dev(dpsi, np.exp(mu) * e * v) < 1e-15
+
+    def test_non_finite_input_raises(self):
+        a = np.eye(4, dtype=complex)
+        a[1, 2] = np.inf
+        with pytest.raises(NumericalFault, match="non-finite"):
+            _kernels.expm_frechet_action(a, np.ones(4), np.ones(4))
