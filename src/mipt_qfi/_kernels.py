@@ -114,10 +114,11 @@ _THETA_TAYLOR = {
 
 # Most Taylor substeps `expm_frechet_action` takes before it raises.  Its
 # cost grows linearly with the 1-norm of A (up to 9.9 per substep), so an
-# unbounded time would never end.  On a 2^9-dimensional parity sector
-# (N = 10) one substep of up to 56 terms takes 18-26 ms with one or two
-# OpenBLAS threads, so the cap keeps an N = 10 oracle check within about
-# 2 s.
+# unbounded time would never end.  On a whole 2^9-dimensional parity
+# sector (N = 10, a state without symmetry) one substep of up to 56 terms
+# takes 18-26 ms with one or two OpenBLAS threads, so the cap keeps such
+# a call within about 2 s; the 44-state orbit block of a symmetric
+# periodic state takes about 0.1 s at the cap.
 MAX_TAYLOR_SUBSTEPS = 80
 
 

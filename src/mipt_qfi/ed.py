@@ -18,6 +18,23 @@ generator integral therefore run on each parity sector (2^(N-1) states)
 in which the initial state has weight; a sector without weight is never
 touched and stays exactly zero.
 
+Symmetry orbits: a permutation of the sites maps basis states to basis
+states and keeps sum_i n_i, so it maps each parity sector to itself.  The
+chain's site symmetries, the N rotations and the reflection
+i <-> N-1-i of the periodic chain and the reflection alone of the open
+chain, commute with H_eff and with both generators.  A sector whose
+amplitudes are exactly equal on every orbit of these symmetries
+therefore never leaves the span of the orbit vectors
+|O|^(-1/2) sum_{x in O} |x>, an orthonormal basis in which H_eff is
+accumulated from the orbit labels and the generators stay diagonal.  The
+periodic chain's even sector has 8 orbits at N = 6, 18 at N = 8 and 44
+at N = 10, against 32, 128 and 512 states.  The vacuum, the periodic
+ground state and every state evolved from them are symmetric in this
+sense; a sector with any other amplitudes keeps its own basis states,
+one orbit each.  Every route evolves the orbit coefficients and finds F
+from them; `evolve_dense` and `dense_ground_state` expand them back to
+the 2^N amplitudes.
+
 The QFI routes implemented here are deliberately independent of the
 free-fermion machinery and of each other.  `qfi_frechet` carries the
 state and its exact parameter derivative through one Taylor action of
@@ -63,7 +80,9 @@ MAX_DENSE_SITES = 12
 # step of the central differences in qfi_finite_difference; a rate below it
 # would be shifted to a negative rate
 FD_STEP = 1e-5
-# o_covariance_qfi takes a dense eig of each 2^(N-1) sector
+# o_covariance_qfi takes a dense eig of each occupied sector's orbit block:
+# 2^(N-1) states for a state without symmetry, 44 for a symmetric periodic
+# state at N = 10
 MAX_QUADRATURE_SITES = 10
 
 
@@ -106,22 +125,100 @@ def _parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
-def _occupied_sectors(state: DenseState) -> list[np.ndarray]:
-    """The parity sectors in which state has non-zero weight."""
-    return [rows for rows in _parity_sectors(state.n_sites) if np.any(state.amplitudes[rows])]
+@dataclass(frozen=True)
+class _Orbits:
+    """An orthonormal basis of one parity sector built from orbits of basis states.
+
+    Orbit j is the set of rows r with label[r] = j; reps[j] is one of its
+    basis indices and weight[j] = |orbit j|^(-1/2) the amplitude each
+    member takes in the orbit's basis vector.
+    """
+
+    rows: np.ndarray
+    label: np.ndarray
+    reps: np.ndarray
+    weight: np.ndarray
+
+    def expand(self, coeffs: np.ndarray) -> np.ndarray:
+        """Amplitudes on `rows` of the state with these orbit coefficients."""
+        return (coeffs * self.weight)[self.label]
+
+
+def _singletons(rows: np.ndarray) -> _Orbits:
+    """The basis states `rows` themselves, one orbit each."""
+    return _Orbits(rows, np.arange(rows.size), rows, np.ones(rows.size))
+
+
+@lru_cache(maxsize=8)
+def _sector_orbits(n: int, boundary: str) -> tuple[_Orbits, _Orbits]:
+    """Even and odd sector, each in the orbits of the chain's site symmetries.
+
+    The periodic chain has the N rotations, each with and without the
+    reflection i <-> N-1-i; the open chain has the reflection alone.  A
+    basis state's orbit is named by the smallest index the group maps it to.
+    """
+    sites = np.arange(n)
+    perms = [sites, sites[::-1]]
+    if boundary == "periodic":
+        perms = [np.roll(perm, k) for perm in perms for k in range(n)]
+    masks = np.array([_site_mask(n, i) for i in range(n)])
+    # the state whose site i holds site perm[i]'s bit
+    least = np.min([_site_bits(n)[:, perm] @ masks for perm in perms], axis=0)
+    sectors = []
+    for rows in _parity_sectors(n):
+        _, first, label = np.unique(least[rows], return_index=True, return_inverse=True)
+        orbits = _Orbits(rows, label, rows[first], 1.0 / np.sqrt(np.bincount(label)))
+        for field in (rows, label, orbits.reps, orbits.weight):
+            field.setflags(write=False)
+        sectors.append(orbits)
+    return tuple(sectors)
+
+
+def _sector_bases(params: ModelParams, state: DenseState) -> list[tuple[_Orbits, np.ndarray]]:
+    """The parity sectors `state` occupies, each in its basis with `state`'s coefficients.
+
+    The basis is the sector's orbits when the amplitudes are exactly equal
+    on every orbit, and the sector's own basis states otherwise.
+    """
+    bases = []
+    for orbits in _sector_orbits(state.n_sites, params.boundary):
+        amps = state.amplitudes[orbits.rows]
+        if not np.any(amps):
+            continue
+        coeffs = state.amplitudes[orbits.reps]
+        if not np.array_equal(amps, coeffs[orbits.label]):
+            orbits, coeffs = _singletons(orbits.rows), amps
+        bases.append((orbits, coeffs / orbits.weight))
+    return bases
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The coefficient vectors of all occupied sectors as one; empty when none is."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+
+
+def _orbit_generator(params: ModelParams, orbits: _Orbits) -> np.ndarray:
+    """H_eff on an orbit basis, w_a w_b sum_{x in orbit a, y in orbit b} H_eff[x, y].
+
+    The diagonal is constant on an orbit.  Each xx bond sends every row y
+    to the row x = y ^ flip and adds -w_a w_b to entry (orbit of x, orbit
+    of y); on singleton orbits this is the bond's -1 on the basis states.
+    """
+    n = params.n_sites
+    rows, label, weight = orbits.rows, orbits.label, orbits.weight
+    occupied = _occupations(n)[orbits.reps]
+    out = np.diag(-params.h * (2 * occupied - n) - 0.5j * params.gamma * occupied)
+    bonds = n if params.boundary == "periodic" else n - 1
+    for i in range(bonds):
+        flip = _site_mask(n, i) ^ _site_mask(n, (i + 1) % n)
+        hit = label[np.searchsorted(rows, rows ^ flip)]
+        np.add.at(out, (hit, label), -weight[hit] * weight[label])
+    return out
 
 
 def _generator(params: ModelParams, rows: np.ndarray) -> np.ndarray:
     """H_eff on the ascending basis states `rows`, the full space or one parity sector."""
-    n = params.n_sites
-    occupied = _occupations(n)[rows]
-    out = np.diag(-params.h * (2 * occupied - n) - 0.5j * params.gamma * occupied)
-    cols = np.arange(rows.size)
-    bonds = n if params.boundary == "periodic" else n - 1
-    for i in range(bonds):
-        flip = _site_mask(n, i) ^ _site_mask(n, (i + 1) % n)
-        out[np.searchsorted(rows, rows ^ flip), cols] -= 1.0
-    return out
+    return _orbit_generator(params, _singletons(rows))
 
 
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
@@ -145,14 +242,19 @@ def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
     """Ground state of the gamma = 0 chain and its energy.
 
     For the periodic chain this is the even-fermion-parity ground state,
-    matching the anti-periodic momentum-grid construction; for the open
-    chain the global ground state is returned.
+    matching the anti-periodic momentum-grid construction, taken in the
+    sector's orbit basis: the xx bonds make every off-diagonal entry of H
+    non-positive and connect the sector, so by Perron-Frobenius its ground
+    state is unique and positive, hence fixed by every site symmetry.  Its
+    amplitudes come out exactly equal on each orbit.  For the open chain
+    the global ground state is returned.
     """
     n = params.n_sites
-    rows = _parity_sectors(n)[0] if params.boundary == "periodic" else np.arange(2**n)
-    vals, vecs = np.linalg.eigh(_generator(params.with_gamma(0.0), rows))
+    periodic = params.boundary == "periodic"
+    basis = _sector_orbits(n, "periodic")[0] if periodic else _singletons(np.arange(2**n))
+    vals, vecs = np.linalg.eigh(_orbit_generator(params.with_gamma(0.0), basis))
     amps = np.zeros(2**n, dtype=complex)
-    amps[rows] = vecs[:, 0]
+    amps[basis.rows] = basis.expand(vecs[:, 0])
     return DenseState(amps, n), float(vals[0])
 
 
@@ -161,8 +263,8 @@ def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseSta
     if initial.n_sites != params.n_sites:
         raise ValueError("state size does not match params")
     psi = np.zeros(2**params.n_sites, dtype=complex)
-    for rows in _occupied_sectors(initial):
-        psi[rows] = expm(-1j * t * _generator(params, rows)) @ initial.amplitudes[rows]
+    for orbits, coeffs in _sector_bases(params, initial):
+        psi[orbits.rows] = orbits.expand(expm(-1j * t * _orbit_generator(params, orbits)) @ coeffs)
     return DenseState(psi / _evolved_norm(psi, t), params.n_sites)
 
 
@@ -213,15 +315,17 @@ def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "
     if initial.n_sites != params.n_sites:
         raise ValueError("state size does not match params")
     gen = _parameter_generator(params.n_sites, wrt)
-    psi = np.zeros(2**params.n_sites, dtype=complex)
-    dpsi = np.zeros_like(psi)
-    for rows in _occupied_sectors(initial):
+    psi, dpsi = [], []
+    for orbits, coeffs in _sector_bases(params, initial):
         try:
-            psi[rows], dpsi[rows] = expm_frechet_action(
-                -1j * t * _generator(params, rows), t * gen[rows], initial.amplitudes[rows]
+            pair = expm_frechet_action(
+                -1j * t * _orbit_generator(params, orbits), t * gen[orbits.reps], coeffs
             )
         except NumericalFault as exc:
             raise NumericalFault(f"{exc} at t = {t}") from exc
+        psi.append(pair[0])
+        dpsi.append(pair[1])
+    psi, dpsi = _joined(psi), _joined(dpsi)
     norm = _evolved_norm(psi, t)
     u = psi / norm
     dpsi /= norm
@@ -266,11 +370,11 @@ def o_covariance_qfi(
 
     O = int_0^t exp(-i H_eff s) G exp(i H_eff s) ds with G the derivative
     of -i H_eff (G = -(1/2) sum_i n_i for the rate, +i sum_i s^z_i for the
-    field).  G and H_eff are block diagonal in the parity sectors.  On each
-    sector the initial state occupies, one eigendecomposition
-    H_eff = V diag(w) V^-1 gives both the evolved state V e^{-iwt} V^-1 psi0
-    and O in closed form, (V^-1 O V)_ab = (V^-1 G V)_ab t e^{-i d t/2}
-    sinc(d t/2) with d = w_a - w_b.  O acts on the evolved coefficients
+    field).  G and H_eff are block diagonal in the parity sectors.  On the
+    orbit basis of each sector the initial state occupies, one
+    eigendecomposition H_eff = V diag(w) V^-1 gives both the evolved state
+    V e^{-iwt} V^-1 psi0 and O in closed form, (V^-1 O V)_ab =
+    (V^-1 G V)_ab t e^{-i d t/2} sinc(d t/2) with d = w_a - w_b.  O acts on the evolved coefficients
     e^{-i w_b t} c_b; the product is applied to the unevolved c_b as the
     bounded kernel (e^{-i w_b t} - e^{-i w_a t}) / (i d), since Im w <= 0,
     and in the csinc form where |d t| < 1.  F = 4 (<O+O> - |<O>|^2) on the
@@ -278,7 +382,7 @@ def o_covariance_qfi(
 
     t is a time or an array of times.  The decomposition, its condition
     check, V^-1 and V^-1 G V do not depend on t and are made once per
-    sector; each time adds only its phases, its kernel and two mat-vecs.
+    orbit block; each time adds only its phases, its kernel and two mat-vecs.
     A scalar t is the same code on a 0-d array and returns a float; an
     array returns an array of its shape.  Raises NumericalFault when an
     eigenbasis is ill-conditioned, or, at the first time where it happens,
@@ -293,31 +397,31 @@ def o_covariance_qfi(
     times = np.asarray(t, dtype=float)
 
     sectors = []
-    for rows in _occupied_sectors(initial):
-        vals, vecs = np.linalg.eig(_generator(params, rows))
+    for orbits, coeffs in _sector_bases(params, initial):
+        vals, vecs = np.linalg.eig(_orbit_generator(params, orbits))
         cond = np.linalg.cond(vecs)
         if cond > 1e8:
             raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
         vecs_inv = np.linalg.inv(vecs)
-        rotated = (vecs_inv * gen[rows]) @ vecs
+        rotated = (vecs_inv * gen[orbits.reps]) @ vecs
         gap = np.subtract.outer(vals, vals)
-        sectors.append((rows, vals, vecs, vecs_inv @ initial.amplitudes[rows], rotated, gap))
+        sectors.append((vals, vecs, vecs_inv @ coeffs, rotated, gap))
 
     qfi = np.empty(times.shape)
     # at extreme times O itself overflows; the checks below decide, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i, ti in np.ndenumerate(times):
             ti = float(ti)  # the arithmetic of a scalar call, to the last bit
-            psi = np.zeros(2**n, dtype=complex)
-            o_psi = np.zeros_like(psi)
-            for rows, vals, vecs, coeffs, rotated, gap in sectors:
+            psi, o_psi = [], []
+            for vals, vecs, coeffs, rotated, gap in sectors:
                 phase = np.exp(-1j * ti * vals)
-                psi[rows] = vecs @ (phase * coeffs)
+                psi.append(vecs @ (phase * coeffs))
                 # a named kernel: numpy would reuse a temporary right operand
                 # as the output, and its complex product is not bitwise
                 # symmetric in the two factors
                 kernel = _integral_kernel(gap, phase, ti)
-                o_psi[rows] = vecs @ ((rotated * kernel) @ coeffs)
+                o_psi.append(vecs @ ((rotated * kernel) @ coeffs))
+            psi, o_psi = _joined(psi), _joined(o_psi)
             norm = _evolved_norm(psi, ti)
             psi /= norm
             o_psi /= norm

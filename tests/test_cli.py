@@ -378,6 +378,8 @@ EDGE_CONFIGS = {
         "n_sites": 8, "h": 0.3, "gamma": 2.0, "times": [1e-170, 1e-160, 1e-150]}},
     "oracle-zero-rate": {"experiment": "oracle-check", "params": {
         "quench_sizes": [4], "gammas": [0.0], "witness_sizes": []}},
+    "oracle-degenerate-hermitian": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "hs": [0.0], "gammas": [0.0], "witness_sizes": []}},
     "spectrum-huge-rate": {"experiment": "spectrum", "params": {"n_sites": 8, "h": 0.3, "gamma": 1e308}},
     "fbar-zero-rate": {"experiment": "fbar-sweep", "params": {"h": 0.3, "gammas": [0.0]}},
     "critical-field-near-one": {"experiment": "critical-exponent", "params": {"h": 0.999999999999}},
@@ -410,6 +412,21 @@ class TestNoTraceback:
         )
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("params", [
+        EDGE_CONFIGS["oracle-degenerate-hermitian"]["params"],
+        {"quench_sizes": [4, 6, 8], "hs": [0.0], "gammas": [0.0, 2.0], "witness_sizes": []},
+    ])
+    def test_oracle_passes_at_the_degenerate_hermitian_point(self, tmp_path, params):
+        # at h = gamma = 0 the whole even sector's H_eff has exactly degenerate
+        # eigenvalues and eig returned a singular eigenbasis (cond 1.5e17 at
+        # N = 4); the orbit block of the symmetric ground state does not
+        cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
+        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
+        assert checks and all(c["ok"] for c in checks)
+        assert max(c["delta"] for c in checks) <= 1e-11
 
 
 class TestRuntimeDependencies:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mipt_qfi._kernels import expm_frechet_action
+import mipt_qfi.ed as ed
+from mipt_qfi._kernels import expm, expm_frechet_action
 from mipt_qfi.ed import (
     DenseState,
     build_h_eff,
@@ -64,6 +65,74 @@ def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return DenseState(amps / np.linalg.norm(amps), n)
+
+
+def generator_diagonal(n, wrt):
+    """G = d(-i H_eff)/d(wrt) on every basis state."""
+    return -0.5 * occupations(n) if wrt == "gamma" else 1j * (2 * occupations(n) - n)
+
+
+def occupied_blocks(params, initial):
+    """(mask, H_eff block, amplitudes) of each parity sector the state occupies."""
+    h_eff = build_h_eff(params)
+    for mask in parity_masks(params.n_sites):
+        if np.any(initial.amplitudes[mask]):
+            yield mask, h_eff[np.ix_(mask, mask)], initial.amplitudes[mask]
+
+
+def unreduced_evolve(params, t, initial):
+    """Normalized e^{-i H_eff t} psi0 by the Pade exponential of each whole parity sector."""
+    psi = np.zeros(2**params.n_sites, dtype=complex)
+    for mask, block, amps in occupied_blocks(params, initial):
+        psi[mask] = expm(-1j * t * block) @ amps
+    return psi / np.linalg.norm(psi)
+
+
+def unreduced_frechet_qfi(params, t, initial, wrt):
+    """qfi_frechet on whole parity sectors: the Taylor action of each sector's exponential."""
+    gen = generator_diagonal(params.n_sites, wrt)
+    psi = np.zeros(2**params.n_sites, dtype=complex)
+    dpsi = np.zeros_like(psi)
+    for mask, block, amps in occupied_blocks(params, initial):
+        psi[mask], dpsi[mask] = expm_frechet_action(-1j * t * block, t * gen[mask], amps)
+    norm = np.linalg.norm(psi)
+    u, du = psi / norm, dpsi / norm
+    du -= u * np.vdot(u, du).real
+    return 4.0 * (np.vdot(du, du).real - abs(np.vdot(u, du)) ** 2)
+
+
+def unreduced_covariance_qfi(params, times, initial):
+    """o_covariance_qfi on whole parity sectors, for both generators: {wrt: F at each time}.
+
+    One eigendecomposition of each sector serves both generators and every time.
+    """
+    n = params.n_sites
+    blocks = []
+    for mask, block, amps in occupied_blocks(params, initial):
+        vals, vecs = np.linalg.eig(block)
+        vecs_inv = np.linalg.inv(vecs)
+        blocks.append((mask, vals, vecs, vecs_inv, vecs_inv @ amps))
+    out = {}
+    for wrt in ("gamma", "h"):
+        gen = generator_diagonal(n, wrt)
+        out[wrt] = []
+        for t in times:
+            psi = np.zeros(2**n, dtype=complex)
+            o_psi = np.zeros_like(psi)
+            for mask, vals, vecs, vecs_inv, coeffs in blocks:
+                phase = np.exp(-1j * t * vals)
+                kernel = ed._integral_kernel(np.subtract.outer(vals, vals), phase, t)
+                psi[mask] = vecs @ (phase * coeffs)
+                o_psi[mask] = vecs @ ((((vecs_inv * gen[mask]) @ vecs) * kernel) @ coeffs)
+            norm = np.linalg.norm(psi)
+            psi, o_psi = psi / norm, o_psi / norm
+            out[wrt].append(4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2))
+    return out
+
+
+def uniform_state(n):
+    """Equal amplitudes on every basis state: both parity sectors, every orbit."""
+    return DenseState(np.full(2**n, 2.0 ** (-n / 2), dtype=complex), n)
 
 
 def simpson_sneddon_qfi(params, t, initial, wrt):
@@ -296,9 +365,9 @@ class TestQfiFrechet:
         monkeypatch.setattr(ed_module, "expm_frechet_action", recorded)
         p = ModelParams(6, 0.3, 2.0)
         value = qfi_frechet(p, 1.5, dense_vacuum(6))
-        even, _ = parity_masks(6)
+        # the vacuum is its own orbit, the last of the even sector's 8
         assert len(blocks) == 1
-        assert np.array_equal(blocks[0], dense_vacuum(6).amplitudes[even])
+        assert np.array_equal(blocks[0], np.eye(8)[-1])
         assert value == pytest.approx(o_covariance_qfi(p, 1.5, dense_vacuum(6)), rel=1e-12)
 
     def test_exceptional_point_matches_finite_difference(self):
@@ -344,11 +413,16 @@ class TestCovarianceTimeArray:
 
         monkeypatch.setattr(np.linalg, "eig", counted)
         p = ModelParams(6, 0.3, 2.0)
-        both = DenseState(np.full(64, 1.0 / 8.0, dtype=complex), 6)
-        for initial, sectors in ((dense_vacuum(6), 1), (both, 2)):
+        # symmetric states take the orbit blocks (8 even, 5 odd orbits), any
+        # other state the whole 32-state sectors
+        for initial, shapes in (
+            (dense_vacuum(6), [(8, 8)]),
+            (uniform_state(6), [(8, 8), (5, 5)]),
+            (random_state(6, 5), [(32, 32), (32, 32)]),
+        ):
             calls.clear()
             o_covariance_qfi(p, np.array(times), initial)
-            assert calls == [(32, 32)] * sectors
+            assert calls == shapes
 
     def test_fault_at_the_last_time_raises(self):
         from mipt_qfi.errors import NumericalFault
@@ -358,6 +432,98 @@ class TestCovarianceTimeArray:
             warnings.simplefilter("error")
             with pytest.raises(NumericalFault, match="not finite"):
                 o_covariance_qfi(p, np.array([0.5, 1.0, 1e200]), dense_vacuum(4))
+
+
+class TestOrbitReduction:
+    # orbits of the even and odd sector under the site symmetries, N = 4..10
+    ORBITS = {
+        "periodic": {4: (4, 2), 6: (8, 5), 8: (18, 12), 10: (44, 34)},
+        "open": {4: (6, 4), 6: (20, 16), 8: (72, 64), 10: (272, 256)},
+    }
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_orbit_basis_is_orthonormal_and_invariant(self, n, boundary):
+        p = ModelParams(n, 0.3, 2.0, boundary)
+        h_eff = build_h_eff(p)
+        counts = []
+        for orbits in ed._sector_orbits(n, boundary):
+            basis = np.zeros((orbits.rows.size, orbits.weight.size))
+            basis[np.arange(orbits.rows.size), orbits.label] = orbits.weight[orbits.label]
+            np.testing.assert_allclose(basis.T @ basis, np.eye(orbits.weight.size), rtol=0, atol=1e-15)
+            # H_eff maps the orbit span to itself: H B = B H_orbit
+            block = h_eff[np.ix_(orbits.rows, orbits.rows)]
+            np.testing.assert_allclose(
+                block @ basis, basis @ ed._orbit_generator(p, orbits), rtol=0, atol=1e-13
+            )
+            counts.append(orbits.weight.size)
+        assert tuple(counts) == self.ORBITS[boundary][n]
+
+    @pytest.mark.parametrize(
+        "n,boundary,start",
+        [
+            (n, boundary, start)
+            for n in (4, 6, 8)
+            for boundary in ("periodic", "open")
+            for start in ("ground", "vacuum", "evolved")
+        ]
+        # each start once at N = 10, where the reference's eig of a 512-state
+        # sector takes ~0.7 s; the open ground state is reflection symmetric
+        # only to rounding and takes the whole sector, the reference itself
+        + [(10, "periodic", "ground"), (10, "periodic", "evolved"), (10, "open", "vacuum")],
+    )
+    def test_routes_match_the_unreduced_reference(self, n, boundary, start):
+        p = ModelParams(n, 0.3, 2.0, boundary)
+        if start == "ground":
+            initial = dense_ground_state(p.with_gamma(0.0))[0]
+        elif start == "vacuum":
+            initial = dense_vacuum(n)
+        else:
+            initial = evolve_dense(p, 0.7, uniform_state(n))
+        expected = unreduced_evolve(p, 1.5, initial)
+        got = evolve_dense(p, 1.5, initial).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        times = (0.5, 1.5)
+        covariance = unreduced_covariance_qfi(p, times, initial)
+        for wrt in ("gamma", "h"):
+            got = o_covariance_qfi(p, np.array(times), initial, wrt=wrt)
+            np.testing.assert_allclose(got, covariance[wrt], rtol=1e-12, atol=0)
+            f_exact = qfi_frechet(p, 1.5, initial, wrt=wrt)
+            assert f_exact == pytest.approx(unreduced_frechet_qfi(p, 1.5, initial, wrt), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_periodic_ground_state_is_exactly_orbit_constant(self, n):
+        p = ModelParams(n, 0.3, 0.0)
+        state, energy = dense_ground_state(p)
+        even, _ = parity_masks(n)
+        vals, vecs = np.linalg.eigh(build_hamiltonian(p)[np.ix_(even, even)])
+        assert energy == pytest.approx(vals[0], rel=1e-12)
+        assert abs(np.vdot(vecs[:, 0], state.amplitudes[even])) == pytest.approx(1.0, abs=1e-12)
+        orbits = ed._sector_orbits(n, "periodic")[0]
+        amps = state.amplitudes[orbits.rows]
+        assert np.array_equal(amps, state.amplitudes[orbits.reps][orbits.label])
+
+    def test_one_amplitude_off_by_one_ulp_takes_the_whole_sector(self, monkeypatch):
+        shapes = []
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(ed, "expm", recorded)
+        p = ModelParams(6, 0.3, 2.0)
+        gs, _ = dense_ground_state(p.with_gamma(0.0))
+        amps = gs.amplitudes.copy()
+        even, _ = parity_masks(6)
+        x = np.flatnonzero(even)[3]
+        amps[x] = np.nextafter(amps[x].real, np.inf) + 1j * amps[x].imag
+        evolve_dense(p, 1.5, gs)
+        assert shapes == [(8, 8)]
+        shapes.clear()
+        got = evolve_dense(p, 1.5, DenseState(amps, 6)).amplitudes
+        assert shapes == [(32, 32)]
+        expected = sla.expm(-1j * 1.5 * kron_operators(p)[1]) @ amps
+        np.testing.assert_allclose(got, expected / np.linalg.norm(expected), rtol=0, atol=1e-12)
 
 
 class TestSxObservables:
