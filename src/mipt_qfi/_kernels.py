@@ -43,7 +43,9 @@ position 2i on, so the rows are eliminated together, position by
 position: at position p every started row whose next step is at p takes
 it, each with its own branch and scale, in one set of stacked numpy
 operations (N - 1 positions per table instead of about N^2 / 2 row
-steps); row i joins at p = 2i.  The Schur updates are deferred across a
+steps); row i joins at p = 2i.  When every started row takes the 2x2
+step at p, as on the ground-state starts, the step skips its masks.  The
+Schur updates are deferred across a
 panel of PANEL positions (the blocked elimination of Wimmer 2012): each
 step only stores its update x y^T - y x^T as vector pairs (x, y), one
 for a 2x2 step and two for a 4x4 step, and the later steps of the panel
@@ -51,8 +53,8 @@ add the pending pairs to the few rows they read.  At the panel's end one
 GEMM per row applies the pairs to the row's trailing block, which then
 moves down to the next panel's coordinates.  Rows in flight each hold a
 trailing block, so the rows are taken in groups whose blocks and pairs
-fit in FLIGHT_COPIES copies of M0; a later group starts at its first
-row's position.
+fit in FLIGHT_COPIES copies of M0 (one group up to N = 64); a later
+group starts at its first row's position.
 """
 
 from __future__ import annotations
@@ -77,9 +79,11 @@ PANEL = 8
 # Memory that the rows in flight (their blocks and pending pairs) may hold,
 # in copies of M0.  `evolve` peaks at about 20 copies (the Pade exponential
 # of the complex 2N x 2N kernel), so the table needs no more memory than the
-# evolution before it; with 14 its tracemalloc peak stays below 0.8 of
-# evolve's at N = 16 .. 256, and tables up to N = 32 are one group.
-FLIGHT_COPIES = 14
+# evolution before it.  17 is the most that keeps the table's tracemalloc
+# peak below evolve's at N = 16 .. 256 (at most 0.97 of it, at N = 64; 18
+# reads 1.03 at N = 80 and 1.01 at N = 96), and it makes tables up to
+# N = 64 one group: N - 1 positions, where two groups take more.
+FLIGHT_COPIES = 17
 
 # signs of the S4 entries in the coefficients of a 4x4 step's pairs
 _K_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
@@ -355,6 +359,16 @@ def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[st
             go = nxt[:jj] == p
             big = np.abs(s01) > tol2[:jj]
             two = go & big
+            if two.all():
+                # every row takes the 2x2 step: the same arithmetic unmasked
+                pf[:jj] *= s01
+                out[:jj, col] = pf[:jj]
+                nxt[:jj] += 2
+                steps["2x2"] += jj
+                if p + 2 < m:
+                    xy[:jj, 2 * t, o + 2 :] += r[:, 1, 2:]
+                    xy[:jj, 2 * t + 1, o + 2 :] += r[:, 0, 2:] * (1.0 / s01)[:, None]
+                continue
             if two.any():
                 piv = np.where(two, s01, 1.0)
                 pf[:jj] *= piv

@@ -384,8 +384,9 @@ def o_covariance_qfi(
     check, V^-1 and V^-1 G V do not depend on t and are made once per
     orbit block; each time adds only its phases, its kernel and two mat-vecs.
     A scalar t is the same code on a 0-d array and returns a float; an
-    array returns an array of its shape.  Raises NumericalFault when an
-    eigenbasis is ill-conditioned, or, at the first time where it happens,
+    array returns an array of its shape.  At gamma = 0 the blocks are
+    Hermitian and `eigh` gives a unitary eigenbasis.  Raises NumericalFault
+    when an eigenbasis is ill-conditioned, or, at the first time where it happens,
     when the state loses its norm or F is not finite.
     """
     n = params.n_sites
@@ -398,11 +399,17 @@ def o_covariance_qfi(
 
     sectors = []
     for orbits, coeffs in _sector_bases(params, initial):
-        vals, vecs = np.linalg.eig(_orbit_generator(params, orbits))
-        cond = np.linalg.cond(vecs)
-        if cond > 1e8:
-            raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
-        vecs_inv = np.linalg.inv(vecs)
+        block = _orbit_generator(params, orbits)
+        if params.gamma == 0:
+            # Hermitian: an orthonormal eigenbasis even for degenerate levels
+            vals, vecs = np.linalg.eigh(block)
+            vecs_inv = vecs.conj().T
+        else:
+            vals, vecs = np.linalg.eig(block)
+            cond = np.linalg.cond(vecs)
+            if cond > 1e8:
+                raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
+            vecs_inv = np.linalg.inv(vecs)
         rotated = (vecs_inv * gen[orbits.reps]) @ vecs
         gap = np.subtract.outer(vals, vals)
         sectors.append((vals, vecs, vecs_inv @ coeffs, rotated, gap))

@@ -26,7 +26,7 @@ from . import ed
 from .errors import ConfigError, NumericalFault, ToleranceFailure
 from .fitting import fit_exponential_rate, fit_power_law, stable_window_start
 from .qfi import critical_mode_coefficient, fbar, qfi_quench
-from .realspace import entanglement_depth, evolve, init_state, witness_qfi
+from .realspace import entanglement_depth, evolve, evolve_series, init_state, witness_qfi
 from .spectral import ModelParams, critical_gamma, spectrum_table
 
 __all__ = ["EXPERIMENTS", "PARAMS", "load_config", "validate_config", "run_experiment", "RunResult"]
@@ -254,37 +254,29 @@ def _run_spectrum(params: dict):
 # --------------------------------------------------------- witness-scaling
 
 
-def _witness_series(n: int, gamma: float, times: list[float], dt: float, kind: str, h0: float):
+def _witness_series(n: int, gamma: float, step: float, counts: tuple, kind: str, h0: float):
     p = ModelParams(n, 0.0, gamma, "open")
-    state = init_state(n, kind, h=h0)
-    out = []
-    done = 0.0
-    for t in times:
-        steps = int(round((t - done) / dt))
-        if steps > 0:
-            state = evolve(state, p, dt, steps)
-            done += steps * dt
-        out.append(witness_qfi(state))
-    return out
+    frames = evolve_series(init_state(n, kind, h=h0), p, step, counts)
+    return [witness_qfi(state) for state in frames]
 
 
 def _run_witness(params: dict):
     sizes = list(params["sizes"])
-    gamma = params["gamma"]
-    t_measure = params["measure_time"]
-    times = [0.8 * t_measure, t_measure, 1.2 * t_measure] if params["time_sensitivity"] else [t_measure]
+    # 0.8 T, T and 1.2 T as 4, 5 and 6 steps of T / 5, or T alone, so that
+    # one exponential per size serves every time; dt is accepted but unused
+    counts, main_idx = ((4, 5, 6), 1) if params["time_sensitivity"] else ((1,), 0)
+    step = params["measure_time"] / counts[main_idx]
 
     series = [
-        _witness_series(n, gamma, times, params["dt"], params["initial_kind"], params["initial_h"])
+        _witness_series(n, params["gamma"], step, counts, params["initial_kind"], params["initial_h"])
         for n in sizes
     ]
-    main_idx = times.index(t_measure)
     fs = [s[main_idx] for s in series]
     rows = [(n, f, f / n, entanglement_depth(f, n)) for n, f in zip(sizes, fs)]
     fits = []
-    for idx, t in enumerate(times):
+    for idx, k in enumerate(counts):
         fit = fit_power_law(sizes, [s[idx] for s in series])
-        tag = "eta" if idx == main_idx else f"eta_at_t={t:g}"
+        tag = "eta" if idx == main_idx else f"eta_at_t={k * step:g}"
         fits.append({"name": tag, **fit.as_dict()})
     return "N,F,F_over_N,depth", rows, fits, []
 

@@ -13,6 +13,7 @@ from mipt_qfi import ed, experiments
 from mipt_qfi.cli import main
 from mipt_qfi.experiments import load_config, run_experiment, validate_config
 from mipt_qfi.errors import ConfigError
+from mipt_qfi.fitting import fit_power_law
 from mipt_qfi.spectral import ModelParams, critical_gamma, spectrum_table
 
 
@@ -395,7 +396,15 @@ EDGE_CONFIGS = {
         "quench_sizes": [4], "times": [10**400], "witness_sizes": []}},
     "witness-huge-initial-field": {"experiment": "witness-scaling", "params": {
         "sizes": [4, 6, 8], "gamma": 0.75, "initial_h": 1e308}},
+    "witness-huge-time": {"experiment": "witness-scaling", "params": {
+        "sizes": [4, 6, 8], "gamma": 0.75, "measure_time": 1e7}},
+    "witness-huge-rate": {"experiment": "witness-scaling", "params": {
+        "sizes": [4, 6, 8], "gamma": 1e308, "measure_time": 1.0}},
 }
+
+# edge configs that must end in a numerical fault: the frame evolution
+# would take more than MAX_CHUNKS chunks, and used to run without end
+FAULTING_EDGE_CONFIGS = ("witness-huge-time", "witness-huge-rate")
 
 
 class TestNoTraceback:
@@ -412,6 +421,8 @@ class TestNoTraceback:
         )
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr
+        if name in FAULTING_EDGE_CONFIGS:
+            assert proc.returncode == 4 and "MAX_CHUNKS" in proc.stderr, proc.stderr
 
     @pytest.mark.parametrize("params", [
         EDGE_CONFIGS["oracle-degenerate-hermitian"]["params"],
@@ -427,6 +438,58 @@ class TestNoTraceback:
         checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
         assert checks and all(c["ok"] for c in checks)
         assert max(c["delta"] for c in checks) <= 1e-11
+
+
+class TestWitnessSeries:
+    def test_one_exponential_per_size(self, tmp_path, monkeypatch):
+        from mipt_qfi import _kernels, realspace
+
+        dims = []
+        monkeypatch.setattr(realspace, "expm", lambda a: dims.append(a.shape[0]) or _kernels.expm(a))
+        for sensitive in (True, False):
+            dims.clear()
+            params = {"sizes": [4, 6, 8], "gamma": 0.75, "time_sensitivity": sensitive}
+            with pytest.warns(UserWarning, match="degenerate"):
+                run_experiment({"experiment": "witness-scaling", "params": params}, out_dir=tmp_path)
+            assert dims == [8, 12, 16]
+
+    def test_measure_time_off_the_dt_grid_is_exact(self, tmp_path):
+        # 7.53 is no multiple of dt = 0.05: the run used to report F at 7.55
+        from mipt_qfi.realspace import evolve, init_state, witness_qfi
+
+        params = {"sizes": [16, 24, 32], "gamma": 0.75, "measure_time": 7.53, "initial_kind": "vacuum"}
+        result = run_experiment({"experiment": "witness-scaling", "params": params}, out_dir=tmp_path)
+        rows = [line.split(",") for line in (tmp_path / "witness-scaling.csv").read_text().splitlines()[1:]]
+        for n, f, *_ in rows:
+            n = int(n)
+            p = ModelParams(n, 0.0, 0.75, "open")
+            want = witness_qfi(evolve(init_state(n), p, 7.53, 1))
+            assert float(f) == pytest.approx(want, rel=1e-12, abs=0)
+        names = [fit["name"] for fit in result.summary["results"]["fits"]]
+        assert names == ["eta_at_t=6.024", "eta", "eta_at_t=9.036"]
+
+    def test_witness_long_workload_is_unchanged(self, tmp_path):
+        # its times 48, 60 and 72 are multiples of dt = 0.01 and of 12, so
+        # the series reproduces the separate evolutions on the dt grid to the bit
+        from mipt_qfi.realspace import evolve, init_state, witness_qfi
+
+        (config,) = json.loads(WORKLOADS.read_text())["witness-long"]
+        result = run_experiment(config, out_dir=tmp_path)
+        params = validate_config(config)["params"]
+        dt, series = params["dt"], []
+        for n in params["sizes"]:
+            p = ModelParams(n, 0.0, params["gamma"], "open")
+            state, done, values = init_state(n), 0.0, []
+            for t in (48.0, 60.0, 72.0):
+                steps = int(round((t - done) / dt))
+                state = evolve(state, p, dt, steps)
+                done += steps * dt
+                values.append(witness_qfi(state))
+            series.append(values)
+        rows = [line.split(",") for line in (tmp_path / "witness-scaling.csv").read_text().splitlines()[1:]]
+        assert [float(f) for _, f, *_ in rows] == [values[1] for values in series]
+        fits = [fit["value"] for fit in result.summary["results"]["fits"]]
+        assert fits == [fit_power_law(params["sizes"], [v[i] for v in series]).value for i in range(3)]
 
 
 class TestRuntimeDependencies:

@@ -372,8 +372,9 @@ class TestQfiFrechet:
 
     def test_exceptional_point_matches_finite_difference(self):
         # at h = 0, gamma = 4 the H_eff eigenbasis of N = 6 is defective
-        # (cond 8.4e8), so the covariance route refuses; the Taylor action
-        # needs no eigenbasis
+        # (cond 1.08e8 on the ground state's 8-orbit block, against the 1e8
+        # limit), so the covariance route refuses; the Taylor action needs
+        # no eigenbasis
         p = ModelParams(6, 0.0, 4.0)
         gs, _ = dense_ground_state(p)
         with pytest.raises(NumericalFault, match="ill-conditioned"):
@@ -381,6 +382,16 @@ class TestQfiFrechet:
         for initial in (gs, dense_vacuum(6)):
             f_fd = qfi_finite_difference(p, 1.0, initial)
             assert qfi_frechet(p, 1.0, initial) == pytest.approx(f_fd, rel=1e-8)
+
+    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    def test_degenerate_hermitian_point_without_orbit_symmetry(self, wrt):
+        # h = gamma = 0: eig returned a singular eigenbasis of the whole
+        # degenerate sector (cond 1.47e17); the Hermitian block takes eigh
+        p = ModelParams(4, 0.0, 0.0)
+        initial = random_state(4, 11)
+        for t in (0.5, 1.0, 3.0):
+            expected = qfi_frechet(p, t, initial, wrt=wrt)
+            assert o_covariance_qfi(p, t, initial, wrt=wrt) == pytest.approx(expected, rel=1e-11)
 
     def test_time_beyond_the_substep_cap_raises_naming_it(self):
         p = ModelParams(4, 0.3, 0.0)

@@ -271,9 +271,10 @@ class TestStringTableBranches:
 
 
 class TestStringTableMemory:
-    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("n", [16, 64, 80, 96, 128])
     def test_table_peak_is_at_most_the_evolution_peak(self, n):
-        # tracemalloc counts numpy's buffers exactly, so this is deterministic
+        # tracemalloc counts numpy's buffers exactly, so this is deterministic;
+        # at N = 80 and 96 one more copy in FLIGHT_COPIES would pass the bound
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             state = init_state(n, "hermitian-ground")

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -8,14 +9,16 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipt_qfi import ed, pfaffian
+from mipt_qfi import _kernels, ed, pfaffian
 from mipt_qfi.errors import NumericalFault
 from mipt_qfi.realspace import (
+    MAX_CHUNKS,
     GaussianState,
     _kernel,
     energy_expectation,
     entanglement_depth,
     evolve,
+    evolve_series,
     init_state,
     majorana_correlations,
     witness_qfi,
@@ -57,6 +60,18 @@ def per_step_evolution(state, params, dt, n_steps):
     step = sla.expm(-1j * dt * _kernel(params))
     w = state.frame()
     for _ in range(n_steps):
+        w, _ = np.linalg.qr(step @ w)
+    n = state.n_sites
+    return GaussianState(w[:n], w[n:])
+
+
+def chunk_loop_evolution(state, params, dt, n_steps):
+    """Reference path: the chunk loop `evolve` ran before the series, as it was."""
+    total = dt * n_steps
+    chunks = max(1, math.ceil(params.gamma * total / math.log(1e4)))
+    step = _kernels.expm(-1j * (total / chunks) * _kernel(params))
+    w = state.frame()
+    for _ in range(chunks):
         w, _ = np.linalg.qr(step @ w)
     n = state.n_sites
     return GaussianState(w[:n], w[n:])
@@ -273,6 +288,65 @@ class TestChunkedEvolve:
         got = majorana_correlations(evolve(start, p, dt, n_steps))
         want = majorana_correlations(per_step_evolution(start, p, dt, n_steps))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, kind, gamma, t, dt",
+        [(8, kind, gamma, 60.0, 0.05) for kind in ("vacuum", "hermitian-ground")
+         for gamma in (0.0, 0.3, 0.75, 2.0, 4.5)]
+        + [(32, "vacuum", 0.75, 72.0, 0.01), (64, "hermitian-ground", 0.75, 9.0, 0.05)],
+    )
+    def test_equals_the_chunk_loop_bit_for_bit(self, n, kind, gamma, t, dt):
+        p = ModelParams(n, 0.0, gamma, "open")
+        start = quiet_init(n, kind)
+        n_steps = int(round(t / dt))
+        got = evolve(start, p, dt, n_steps).frame()
+        np.testing.assert_array_equal(got, chunk_loop_evolution(start, p, dt, n_steps).frame())
+
+
+class TestEvolveSeries:
+    @pytest.mark.parametrize("kind, gamma, step", [
+        ("hermitian-ground", 0.75, 1.5), ("vacuum", 0.75, 12.0), ("vacuum", 4.5, 1.6), ("vacuum", 0.0, 3.0),
+    ])
+    def test_frames_match_separate_evolutions(self, kind, gamma, step, qr_frames):
+        n, counts = 16, [4, 5, 6]
+        p = ModelParams(n, 0.0, gamma, "open")
+        start = quiet_init(n, kind)
+        frames = evolve_series(start, p, step, counts)
+        assert max(np.linalg.cond(w) for w in qr_frames) <= 1e4
+        for k, state in zip(counts, frames):
+            assert state.orthonormality_defect() < 1e-12
+            want = majorana_correlations(evolve(start, p, k * step, 1))
+            np.testing.assert_allclose(majorana_correlations(state), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma, step, qrs", [(0.0, 3.0, 3), (0.75, 1.5, 3), (0.75, 12.0, 6), (4.5, 1.6, 6)])
+    def test_qr_only_at_returned_frames_or_at_the_growth_bound(self, gamma, step, qrs, qr_frames, monkeypatch):
+        exponentials = []
+        monkeypatch.setattr("mipt_qfi.realspace.expm", lambda a: exponentials.append(a) or _kernels.expm(a))
+        evolve_series(init_state(8), ModelParams(8, 0.0, gamma, "open"), step, [4, 5, 6])
+        assert len(exponentials) == 1
+        assert len(qr_frames) == qrs
+
+    @pytest.mark.parametrize("counts", [[], [0, 1], [2, 2], [3, 1], [1.0]])
+    def test_rejects_counts_that_are_not_increasing_positive_integers(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            evolve_series(init_state(6), ModelParams(6, 0.0, 1.0, "open"), 0.5, counts)
+
+    @pytest.mark.parametrize("gamma, step, counts", [
+        (0.75, 2e6, [4, 5, 6]), (1e308, 0.2, [4, 5, 6]), (0.0, 0.1, [MAX_CHUNKS + 1]),
+    ])
+    def test_series_past_the_chunk_cap_raises_naming_its_time(self, gamma, step, counts, qr_frames):
+        p = ModelParams(6, 0.0, gamma, "open")
+        with pytest.raises(NumericalFault, match=re.escape(f"T = {counts[-1] * step:g} ") + ".* MAX_CHUNKS"):
+            evolve_series(init_state(6), p, step, counts)
+        assert qr_frames == []
+
+    def test_largest_series_under_the_cap_is_accepted(self):
+        p = ModelParams(4, 0.0, 0.75, "open")
+        # the most whole chunks per step that six steps may take
+        step = (1 - 1e-12) * (MAX_CHUNKS // 6) * math.log(1e4) / 0.75
+        evolve_series(init_state(4), p, step, [4, 5, 6])
+        with pytest.raises(NumericalFault, match="MAX_CHUNKS"):
+            evolve_series(init_state(4), p, 1.001 * step, [4, 5, 6])
 
 
 class TestCorrelators:
