@@ -1,17 +1,12 @@
-"""Hot numeric kernels: the matrix exponential and the action of its
-derivative, the Pfaffian and the Jordan-Wigner string table.
+"""Hot numeric kernels: the matrix exponential, the Pfaffian and the
+Jordan-Wigner string table.
 
 `expm` is the degree-13 Pade approximant with scaling and squaring of
-Higham (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), in numpy alone.  The
-frame evolution and the dense oracle call it, so every matrix operation
-of a run goes through numpy's BLAS.
-
-`expm_frechet_action` gives e^A v together with the action L(A, E) v of
-the Frechet derivative of e^A in a diagonal direction E, by the truncated
-Taylor series with substeps of `expm_multiply` (Al-Mohy and Higham, SIAM
-J. Sci. Comput. 33, 488 (2011)) run on the pair (v, 0): it forms no
-exponential, only matrix-vector products.  The dense oracle's exact QFI
-derivative calls it.
+Higham (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), in numpy alone, and
+the package's one matrix exponential.  The frame evolution and the dense
+oracle call it, so every matrix operation of a run goes through numpy's
+BLAS; the oracle's exact QFI derivative takes it of a block matrix whose
+corner holds the Frechet derivative.
 
 `pfaffian` is the skew Parlett-Reid elimination with partial pivoting
 (Wimmer, ACM TOMS 38, 30 (2012)), the package's one Pfaffian.  It is the
@@ -105,33 +100,15 @@ _PADE_13 = tuple(
 )
 
 
-# Taylor degrees m and the 1-norms theta_m up to which m terms of e^A
-# reach a backward error of 2^-53 (Al-Mohy and Higham 2011, Table 3.1)
-_THETA_TAYLOR = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
-    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
-    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
-    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
-    45: 7.2, 50: 8.5, 55: 9.9,
-}
-
-# Most Taylor substeps `expm_frechet_action` takes before it raises.  Its
-# cost grows linearly with the 1-norm of A (up to 9.9 per substep), so an
-# unbounded time would never end.  On a whole 2^9-dimensional parity
-# sector (N = 10, a state without symmetry) one substep of up to 56 terms
-# takes 18-26 ms with one or two OpenBLAS threads, so the cap keeps such
-# a call within about 2 s; the 44-state orbit block of a symmetric
-# periodic state takes about 0.1 s at the cap.
-MAX_TAYLOR_SUBSTEPS = 80
-
-
 def expm(a: np.ndarray) -> np.ndarray:
     """e^a of a square matrix by degree-13 Pade with scaling and squaring.
 
     a is scaled by 2^-s, s = max(0, ceil(log2(|a|_1 / theta_13))), the
     approximant r = (V - U)^-1 (V + U) is found with one solve, and r is
-    squared s times.  Raises NumericalFault on a non-finite input.
+    squared s times.  Raises NumericalFault on a non-finite input, and at
+    the first squaring that leaves a non-finite entry.  A 1-norm far past
+    the matrix's decay rates (a huge time) makes the squarings overflow
+    from the round-off of r, or underflow to zero, which ends them early.
     """
     norm = float(np.linalg.norm(a, 1))
     if not np.isfinite(norm):
@@ -148,77 +125,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(s):
+            r = r @ r
+            if not np.isfinite(r).all():
+                raise NumericalFault(f"matrix exponential overflowed at squaring {k + 1} of {s}")
+            if not r.any():
+                break  # underflowed: every further square is zero too
     return r
-
-
-def _taylor_schedule(norm: float) -> tuple[int, int]:
-    """Degree m and substep count s with the fewest products m s for a 1-norm."""
-    if norm == 0.0:
-        return 0, 1
-    return min(
-        ((m, math.ceil(norm / theta)) for m, theta in _THETA_TAYLOR.items()),
-        key=lambda ms: ms[0] * ms[1],
-    )
-
-
-def expm_frechet_action(
-    a: np.ndarray, e: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """e^a v and L(a, diag(e)) v, the action of e^a's Frechet derivative.
-
-    The pair is the lower and upper half of exp([[a, E], [0, a]]) [0; v]
-    with E = diag(e).  a is shifted by mu = tr(a)/d and e by its mean nu,
-    which commute with everything; the shifted pair is advanced through s
-    substeps of up to m + 1 Taylor terms each, b_j = x b_{j-1} / j and
-    db_j = (x db_{j-1} + y b_{j-1}) / j with x = (a - mu)/s and
-    y = (e - nu)/s, one
-    (d x d) @ (d x 2) product per term.  (m, s) minimise m s under
-    |a - mu|_1 / s <= theta_m; the one extra term is the derivative's,
-    whose term j is bounded by |y| |x|^(j-1) / (j-1)!, the exponential's
-    term j - 1.  A substep stops early once two consecutive terms of both
-    series fall below 2^-53 of their sums, and ends with the shift's
-    factor e^{mu/s} and its derivative, (b, db) -> e^{mu/s} (b, db +
-    (nu/s) b).  Raises NumericalFault on a non-finite input or when s
-    would exceed MAX_TAYLOR_SUBSTEPS.
-    """
-    d = a.shape[0]
-    mu = np.trace(a) / d
-    nu = np.mean(e)
-    x = a - mu * np.eye(d)
-    y = e - nu
-    norm = float(np.linalg.norm(x, 1))
-    if not (np.isfinite(norm) and np.all(np.isfinite(y))):
-        raise NumericalFault("Frechet derivative of the exponential of a non-finite matrix")
-    # past a 1-norm of 119 the schedule takes m = 55, so this bounds s
-    if norm > MAX_TAYLOR_SUBSTEPS * _THETA_TAYLOR[55]:
-        raise NumericalFault(
-            f"exponential action of 1-norm {norm:.3g} needs more Taylor substeps "
-            f"than MAX_TAYLOR_SUBSTEPS = {MAX_TAYLOR_SUBSTEPS}"
-        )
-    m, s = _taylor_schedule(norm)
-    x /= s
-    y = y / s
-    eta = np.exp(mu / s)
-    tol = 2.0**-53
-    pair = np.zeros((d, 2), dtype=np.result_type(x, y, v))
-    pair[:, 0] = v
-    for _ in range(s):
-        term = pair.copy()
-        last = np.max(np.abs(term), axis=0)
-        for j in range(1, m + 2):
-            nxt = x @ term
-            nxt[:, 1] += y * term[:, 0]
-            term = nxt / j
-            pair += term
-            size = np.max(np.abs(term), axis=0)
-            if np.all(last + size <= tol * np.max(np.abs(pair), axis=0)):
-                break
-            last = size
-        pair[:, 1] += (nu / s) * pair[:, 0]
-        pair *= eta
-    return pair[:, 0], pair[:, 1]
 
 
 def pfaffian(a: np.ndarray) -> float | complex:

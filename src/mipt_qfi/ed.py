@@ -36,10 +36,10 @@ from them; `evolve_dense` and `dense_ground_state` expand them back to
 the 2^N amplitudes.
 
 The QFI routes implemented here are deliberately independent of the
-free-fermion machinery and of each other.  `qfi_frechet` carries the
-state and its exact parameter derivative through one Taylor action of
-each sector's exponential (`_kernels.expm_frechet_action`) and needs no
-eigenbasis.  The covariance of the time-integrated generator takes one
+free-fermion machinery and of each other.  `qfi_frechet` reads the
+state and its exact parameter derivative off one exponential of a block
+matrix per sector (`_kernels.expm`) and needs no eigenbasis.  The
+covariance of the time-integrated generator takes one
 eigendecomposition of H_eff per sector, which gives the evolved state and
 the integral in closed form, with no quadrature, at every requested time:
 one call with an array of times decomposes each sector once.  Central
@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._entire import csinc
-from ._kernels import expm, expm_frechet_action
+from ._kernels import expm
 from .errors import NumericalFault
 from .spectral import ModelParams
 
@@ -303,28 +303,32 @@ def _parameter_generator(n: int, wrt: str) -> np.ndarray:
 def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "gamma") -> float:
     """QFI from the exact derivative of the normalized evolved state.
 
-    On each occupied parity sector, `expm_frechet_action` gives
-    psi = e^X psi0 and dpsi = L(X, t G) psi0, the derivative of e^X psi0
-    along X = -i t H_eff, whose parameter derivative is t G with G the
-    diagonal of `_parameter_generator`.  The derivative of the normalized
-    state, du = dpsi/|psi| - u Re<u, dpsi/|psi|> with u = psi/|psi|, keeps
-    the decay of the norm out of the final difference, and
+    On each occupied parity sector, with X = -i t H_eff, whose parameter
+    derivative is t G with G the diagonal of `_parameter_generator`, the
+    exponential of the block matrix [[X, t G], [0, X]] is
+    [[e^X, L(X, t G)], [0, e^X]], L the Frechet derivative of e^X (Higham,
+    Functions of Matrices, SIAM 2008, Sec. 3.2).  So psi = e^X psi0 and
+    dpsi = L(X, t G) psi0.  The derivative of the normalized state,
+    du = dpsi/|psi| - u Re<u, dpsi/|psi|> with u = psi/|psi|, keeps the
+    decay of the norm out of the final difference, and
     F = 4 (|du|^2 - |<u, du>|^2).  Raises NumericalFault naming t when the
-    state loses its norm or the time needs more than MAX_TAYLOR_SUBSTEPS.
+    state loses its norm or the exponential overflows.
     """
     if initial.n_sites != params.n_sites:
         raise ValueError("state size does not match params")
     gen = _parameter_generator(params.n_sites, wrt)
     psi, dpsi = [], []
     for orbits, coeffs in _sector_bases(params, initial):
+        d = coeffs.size
+        block = np.zeros((2 * d, 2 * d), dtype=complex)
+        block[:d, :d] = block[d:, d:] = -1j * t * _orbit_generator(params, orbits)
+        block[np.arange(d), np.arange(d, 2 * d)] = t * gen[orbits.reps]
         try:
-            pair = expm_frechet_action(
-                -1j * t * _orbit_generator(params, orbits), t * gen[orbits.reps], coeffs
-            )
+            top = expm(block)[:d]
         except NumericalFault as exc:
             raise NumericalFault(f"{exc} at t = {t}") from exc
-        psi.append(pair[0])
-        dpsi.append(pair[1])
+        psi.append(top[:, :d] @ coeffs)
+        dpsi.append(top[:, d:] @ coeffs)
     psi, dpsi = _joined(psi), _joined(dpsi)
     norm = _evolved_norm(psi, t)
     u = psi / norm

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sparse
+from scipy.sparse.linalg import expm_multiply
 
 import mipt_qfi.ed as ed
-from mipt_qfi._kernels import expm, expm_frechet_action
+from mipt_qfi._kernels import expm
 from mipt_qfi.ed import (
     DenseState,
     build_h_eff,
@@ -89,12 +91,24 @@ def unreduced_evolve(params, t, initial):
 
 
 def unreduced_frechet_qfi(params, t, initial, wrt):
-    """qfi_frechet on whole parity sectors: the Taylor action of each sector's exponential."""
+    """qfi_frechet on whole parity sectors, by scipy's truncated Taylor action.
+
+    With X = -i t H_eff on a sector, the action of exp([[X, t G], [0, X]])
+    on [0; psi0] is [L(X, t G) psi0; e^X psi0], L the Frechet derivative;
+    `expm_multiply` (Al-Mohy and Higham 2011) forms it from sparse products.
+    """
     gen = generator_diagonal(params.n_sites, wrt)
     psi = np.zeros(2**params.n_sites, dtype=complex)
     dpsi = np.zeros_like(psi)
     for mask, block, amps in occupied_blocks(params, initial):
-        psi[mask], dpsi[mask] = expm_frechet_action(-1j * t * block, t * gen[mask], amps)
+        x = sparse.csr_matrix(-1j * t * block)
+        pair = sparse.bmat([[x, sparse.diags(t * gen[mask])], [None, x]], format="csr")
+        dpsi[mask], psi[mask] = np.split(expm_multiply(pair, np.concatenate([0 * amps, amps])), 2)
+    return derivative_qfi(psi, dpsi)
+
+
+def derivative_qfi(psi, dpsi):
+    """F = 4 (|du|^2 - |<u, du>|^2) of u = psi/|psi|, from the derivative dpsi of psi."""
     norm = np.linalg.norm(psi)
     u, du = psi / norm, dpsi / norm
     du -= u * np.vdot(u, du).real
@@ -334,19 +348,21 @@ class TestQfiFrechet:
                         assert qfi_frechet(p, t, gs, wrt=wrt) == pytest.approx(expected, rel=rel)
 
     @pytest.mark.parametrize("wrt", ["gamma", "h"])
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_pair_matches_scipy_frechet_on_a_sector_block(self, n, wrt):
-        # (e^A v, L(A, diag(e)) v) on the even block of X = -i t H_eff, e = t G
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_whole_sectors_match_scipy_frechet(self, n, wrt):
+        # a state without symmetry takes both whole sectors; the reference
+        # takes (e^X, L(X, t G)) of each from scipy (N = 8 whole sectors are
+        # checked against the unreduced reference in TestOrbitReduction)
         p, t = ModelParams(n, 0.3, 2.0), 1.5
-        even, _ = parity_masks(n)
-        a = -1j * t * build_h_eff(p)[np.ix_(even, even)]
-        occupied = occupations(n)[even]
-        e = t * (-0.5 * occupied if wrt == "gamma" else 1j * (2 * occupied - n))
-        v = random_state(n - 1, 3).amplitudes
-        exp_a, frechet = sla.expm_frechet(a, np.diag(e))
-        psi, dpsi = expm_frechet_action(a, e, v)
-        np.testing.assert_allclose(psi, exp_a @ v, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(dpsi, frechet @ v, rtol=0, atol=1e-13 * np.linalg.norm(frechet @ v))
+        initial = random_state(n, 3)
+        gen = generator_diagonal(n, wrt)
+        psi = np.zeros(2**n, dtype=complex)
+        dpsi = np.zeros_like(psi)
+        for mask, block, amps in occupied_blocks(p, initial):
+            exp_a, frechet = sla.expm_frechet(-1j * t * block, np.diag(t * gen[mask]))
+            psi[mask], dpsi[mask] = exp_a @ amps, frechet @ amps
+        expected = derivative_qfi(psi, dpsi)
+        assert qfi_frechet(p, t, initial, wrt=wrt) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("wrt", ["gamma", "h"])
     def test_time_zero_is_exactly_zero(self, wrt):
@@ -354,27 +370,28 @@ class TestQfiFrechet:
         assert qfi_frechet(p, 0.0, dense_ground_state(p)[0], wrt=wrt) == 0.0
 
     def test_vacuum_start_never_touches_the_odd_sector(self, monkeypatch):
-        import mipt_qfi.ed as ed_module
-
         blocks = []
 
-        def recorded(a, e, v):
-            blocks.append(v.copy())
-            return expm_frechet_action(a, e, v)
+        def recorded(a):
+            blocks.append(a.copy())
+            return expm(a)
 
-        monkeypatch.setattr(ed_module, "expm_frechet_action", recorded)
+        monkeypatch.setattr(ed, "expm", recorded)
         p = ModelParams(6, 0.3, 2.0)
         value = qfi_frechet(p, 1.5, dense_vacuum(6))
-        # the vacuum is its own orbit, the last of the even sector's 8
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0], np.eye(8)[-1])
+        # one block [[X, t G], [0, X]], X on the even sector's 8 orbits, of
+        # which the vacuum is one
+        assert [a.shape for a in blocks] == [(16, 16)]
+        x = -1j * 1.5 * ed._orbit_generator(p, ed._sector_orbits(6, "periodic")[0])
+        np.testing.assert_array_equal(blocks[0][:8, :8], x)
+        np.testing.assert_array_equal(blocks[0][8:, 8:], x)
         assert value == pytest.approx(o_covariance_qfi(p, 1.5, dense_vacuum(6)), rel=1e-12)
 
     def test_exceptional_point_matches_finite_difference(self):
         # at h = 0, gamma = 4 the H_eff eigenbasis of N = 6 is defective
         # (cond 1.08e8 on the ground state's 8-orbit block, against the 1e8
-        # limit), so the covariance route refuses; the Taylor action needs
-        # no eigenbasis
+        # limit), so the covariance route refuses; the block exponential
+        # needs no eigenbasis
         p = ModelParams(6, 0.0, 4.0)
         gs, _ = dense_ground_state(p)
         with pytest.raises(NumericalFault, match="ill-conditioned"):
@@ -393,10 +410,13 @@ class TestQfiFrechet:
             expected = qfi_frechet(p, t, initial, wrt=wrt)
             assert o_covariance_qfi(p, t, initial, wrt=wrt) == pytest.approx(expected, rel=1e-11)
 
-    def test_time_beyond_the_substep_cap_raises_naming_it(self):
-        p = ModelParams(4, 0.3, 0.0)
-        with pytest.raises(NumericalFault, match=r"MAX_TAYLOR_SUBSTEPS = 80 at t = 1e\+300"):
-            qfi_frechet(p, 1e300, dense_vacuum(4))
+    @pytest.mark.parametrize("n,initial", [(4, dense_vacuum(4)), (8, random_state(8, 3))])
+    def test_huge_time_raises_naming_it(self, n, initial):
+        # the N = 8 state takes both whole sectors, 256 x 256 blocks; the
+        # squarings overflow about 60 in, of nearly 1000
+        p = ModelParams(n, 0.3, 0.0)
+        with pytest.raises(NumericalFault, match=r"overflowed at squaring .* at t = 1e\+300"):
+            qfi_frechet(p, 1e300, initial)
 
 
 class TestCovarianceTimeArray:

@@ -368,34 +368,57 @@ class TestExpm:
         with pytest.raises(NumericalFault, match="non-finite"):
             _kernels.expm(a)
 
+    def test_overflowing_squaring_raises_without_warning(self):
+        # e^{-i 1e300 H} is unitary, but its 997 squarings blow up the
+        # round-off of the scaled approximant long before the last
+        a = -1e300j * ed._generator(ModelParams(4, 0.3, 0.0), ed._parity_sectors(4)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match=r"overflowed at squaring \d+ of 997"):
+                _kernels.expm(a)
 
-class TestExpmFrechetAction:
-    @pytest.mark.parametrize("norm", [0.05, 0.5, 5.0, 50.0])
-    def test_non_normal_matrix_matches_scipy(self, norm):
-        # a dense complex matrix without the structure of H_eff, across
-        # schedules of one to six substeps
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        a = norm * x / np.linalg.norm(x, 1)
-        e = rng.normal(size=12) + 1j * rng.normal(size=12)
-        v = rng.normal(size=12) + 1j * rng.normal(size=12)
-        exp_a, frechet = sla.expm_frechet(a, np.diag(e))
-        psi, dpsi = _kernels.expm_frechet_action(a, e, v)
-        assert rel_dev(psi, exp_a @ v) < 1e-13
-        assert rel_dev(dpsi, frechet @ v) < 1e-13
+    def test_underflow_gives_zeros(self):
+        # e^{-1e5} is below the smallest double
+        np.testing.assert_array_equal(_kernels.expm(-1e5 * np.eye(3)), np.zeros((3, 3)))
+
+
+class TestExpmFrechetBlock:
+    """exp([[A, diag(e)], [0, A]]) = [[e^A, L(A, diag(e))], [0, e^A]], L the Frechet derivative."""
+
+    @staticmethod
+    def parts(a, e):
+        d = a.shape[0]
+        full = _kernels.expm(np.block([[a, np.diag(e)], [np.zeros_like(a), a]]))
+        return full[:d, :d], full[:d, d:], full[d:, :d], full[d:, d:]
+
+    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_sector_block_matches_scipy(self, n, wrt):
+        # X = -i t H_eff and e = t G on the even sector, across scalings of
+        # zero to six squarings
+        p = ModelParams(n, 0.3, 2.0)
+        even, _ = ed._parity_sectors(n)
+        for t in (0.05, 1.5, 12.0):
+            a = -1j * t * ed._generator(p, even)
+            e = t * ed._parameter_generator(n, wrt)[even]
+            exp_a, frechet = sla.expm_frechet(a, np.diag(e))
+            top, derivative, corner, bottom = self.parts(a, e)
+            assert rel_dev(top, exp_a) < 1e-13
+            assert rel_dev(bottom, exp_a) < 1e-13
+            assert rel_dev(derivative, frechet) < 1e-13
+            assert not corner.any()
 
     def test_scalar_matrix_still_differentiates(self):
-        # a multiple of the identity shifts to x = 0, whose exponential
-        # needs no Taylor term; its derivative needs one
+        # exp([[mu, e], [0, mu]]) = e^mu [[1, e], [0, 1]] entry by entry
         mu = 0.3 - 0.2j
         e = np.array([1.0, -2.0, 0.5, 3.0])
         v = np.array([1.0, 2.0j, -1.0, 0.5])
-        psi, dpsi = _kernels.expm_frechet_action(mu * np.eye(4), e, v)
-        assert rel_dev(psi, np.exp(mu) * v) < 1e-15
-        assert rel_dev(dpsi, np.exp(mu) * e * v) < 1e-15
+        top, derivative, _, _ = self.parts(mu * np.eye(4), e)
+        assert rel_dev(top @ v, np.exp(mu) * v) < 1e-15
+        assert rel_dev(derivative @ v, np.exp(mu) * e * v) < 1e-15
 
     def test_non_finite_input_raises(self):
         a = np.eye(4, dtype=complex)
         a[1, 2] = np.inf
         with pytest.raises(NumericalFault, match="non-finite"):
-            _kernels.expm_frechet_action(a, np.ones(4), np.ones(4))
+            self.parts(a, np.ones(4))
