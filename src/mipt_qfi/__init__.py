@@ -7,88 +7,30 @@ multipartite entanglement under a collective x-rotation, and the
 sensitivity to the monitoring rate after a measurement quench.
 """
 
-from ._kernels import pfaffian
-from .errors import (
-    ConfigError,
-    NoCriticalPointError,
-    NumericalFault,
-    QuadratureError,
-    ToleranceFailure,
-)
-from .fitting import FitResult, fit_exponential_rate, fit_power_law
-from .qfi import (
-    ModeQfiCoefficient,
-    critical_mode_coefficient,
-    fbar,
-    mode_qfi_coefficients,
-    qfi_quench,
-    r_matrix,
-)
-from .quench import (
-    BogoliubovAmplitudes,
-    evolve_amplitudes,
-    ising_ground_amplitudes,
-    mode_occupations,
-    site_occupation,
-)
-from .realspace import (
-    GaussianState,
-    energy_expectation,
-    entanglement_depth,
-    evolve,
-    init_state,
-    majorana_correlations,
-    witness_qfi,
-    xx_correlator,
-)
-from .spectral import (
-    Mode,
-    ModelParams,
-    critical_gamma,
-    critical_momentum,
-    gap_character,
-    mode_system,
-    momentum_grid,
-    spectrum_table,
-)
+from .errors import ConfigError, NumericalFault, ToleranceFailure
+from .fitting import fit_exponential_rate, fit_power_law
+from .qfi import critical_mode_coefficient, fbar, qfi_quench
+from .realspace import entanglement_depth, evolve, evolve_series, init_state, witness_qfi
+from .spectral import ModelParams, critical_gamma, spectrum_table
 
 __version__ = "0.1.0"
 
+# what the six experiments and the library example in README.md call
 __all__ = [
-    "BogoliubovAmplitudes",
     "ConfigError",
-    "FitResult",
-    "GaussianState",
-    "Mode",
-    "ModeQfiCoefficient",
     "ModelParams",
-    "NoCriticalPointError",
     "NumericalFault",
-    "QuadratureError",
     "ToleranceFailure",
     "critical_gamma",
     "critical_mode_coefficient",
-    "critical_momentum",
-    "energy_expectation",
     "entanglement_depth",
     "evolve",
-    "evolve_amplitudes",
+    "evolve_series",
     "fbar",
     "fit_exponential_rate",
     "fit_power_law",
-    "gap_character",
     "init_state",
-    "ising_ground_amplitudes",
-    "majorana_correlations",
-    "mode_occupations",
-    "mode_qfi_coefficients",
-    "mode_system",
-    "momentum_grid",
-    "pfaffian",
     "qfi_quench",
-    "r_matrix",
-    "site_occupation",
     "spectrum_table",
     "witness_qfi",
-    "xx_correlator",
 ]

@@ -46,6 +46,14 @@ one call with an array of times decomposes each sector once.  Central
 finite differences of the normalized state of `evolve_dense`, whose
 sector exponentials are the numpy Pade approximant `_kernels.expm`, are
 the reference both are tested against.
+
+Long times: the norm of the unnormalized state decays like e^{r t},
+where r <= 0 is the largest Im of the occupied sectors' eigenvalues (the
+slowest decay rate), and at long enough times it underflows.  From
+gamma N t / 2 = SHIFT_FROM on, every route takes its exponentials of
+-i t (H_eff - i r) instead, which multiplies the state and its
+derivative by the one real factor e^{-r t}; it cancels exactly in the
+normalized state and in F.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from .errors import NumericalFault
 from .spectral import ModelParams
 
 __all__ = [
-    "DenseState",
     "dense_vacuum",
     "dense_ground_state",
     "evolve_dense",
@@ -69,9 +76,6 @@ __all__ = [
     "qfi_frechet",
     "o_covariance_qfi",
     "sx_variance_dense",
-    "sx_expectation",
-    "occupation_profile",
-    "xx_correlator_dense",
     "build_hamiltonian",
     "build_h_eff",
 ]
@@ -84,6 +88,12 @@ FD_STEP = 1e-5
 # 2^(N-1) states for a state without symmetry, 44 for a symmetric periodic
 # state at N = 10
 MAX_QUADRATURE_SITES = 10
+# The squared norm of an evolved state is at least e^{-gamma N t}, since no
+# basis state decays faster than e^{-gamma N t / 2}.  Where gamma N t / 2
+# passes SHIFT_FROM it could fall below e^{-600}, toward the end of the
+# double range, and from there each route shifts its exponents by the
+# slowest decay rate; below it nothing is shifted
+SHIFT_FROM = 300.0
 
 
 @dataclass
@@ -259,13 +269,45 @@ def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
 
 
 def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseState:
-    """Normalized exp(-i H_eff t) |initial>, one occupied parity sector at a time."""
+    """Normalized exp(-i H_eff t) |initial>, one occupied parity sector at a time.
+
+    Raises NumericalFault naming t when the state loses its norm or the
+    exponential overflows.
+    """
     if initial.n_sites != params.n_sites:
         raise ValueError("state size does not match params")
+    sectors = [(orbits, coeffs, _orbit_generator(params, orbits))
+               for orbits, coeffs in _sector_bases(params, initial)]
+    rate = _decay_rate(params, t, [block for _, _, block in sectors])
     psi = np.zeros(2**params.n_sites, dtype=complex)
-    for orbits, coeffs in _sector_bases(params, initial):
-        psi[orbits.rows] = orbits.expand(expm(-1j * t * _orbit_generator(params, orbits)) @ coeffs)
+    for orbits, coeffs, block in sectors:
+        psi[orbits.rows] = orbits.expand(_shifted_expm(-1j * t * block, rate * t, t) @ coeffs)
     return DenseState(psi / _evolved_norm(psi, t), params.n_sites)
+
+
+def _shifts(params: ModelParams, t: float) -> bool:
+    """Whether the exponents at time t are shifted: gamma N t / 2 above SHIFT_FROM."""
+    return params.gamma * params.n_sites * t / 2 > SHIFT_FROM
+
+
+def _decay_rate(params: ModelParams, t: float, blocks: list[np.ndarray]) -> float:
+    """The shift r at time t: the largest Im of the blocks' eigenvalues, or 0 where none is due.
+
+    A non-finite block takes no shift; its exponential faults.
+    """
+    if not (_shifts(params, t) and all(np.all(np.isfinite(block)) for block in blocks)):
+        return 0.0
+    return max(float(np.max(np.linalg.eigvals(block).imag)) for block in blocks)
+
+
+def _shifted_expm(x: np.ndarray, shift: float, t: float) -> np.ndarray:
+    """e^{x - shift I}, with the NumericalFault of an overflowing exponential naming t."""
+    if shift:
+        x = x - shift * np.eye(x.shape[0])
+    try:
+        return expm(x)
+    except NumericalFault as exc:
+        raise NumericalFault(f"{exc} at t = {t}") from exc
 
 
 def _evolved_norm(psi: np.ndarray, t: float) -> float:
@@ -311,22 +353,23 @@ def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "
     dpsi = L(X, t G) psi0.  The derivative of the normalized state,
     du = dpsi/|psi| - u Re<u, dpsi/|psi|> with u = psi/|psi|, keeps the
     decay of the norm out of the final difference, and
-    F = 4 (|du|^2 - |<u, du>|^2).  Raises NumericalFault naming t when the
-    state loses its norm or the exponential overflows.
+    F = 4 (|du|^2 - |<u, du>|^2).  Shifting X by a real multiple of the
+    identity scales both blocks alike.  Raises NumericalFault naming t when
+    the state loses its norm or the exponential overflows.
     """
     if initial.n_sites != params.n_sites:
         raise ValueError("state size does not match params")
     gen = _parameter_generator(params.n_sites, wrt)
+    sectors = [(orbits, coeffs, _orbit_generator(params, orbits))
+               for orbits, coeffs in _sector_bases(params, initial)]
+    rate = _decay_rate(params, t, [h_eff for _, _, h_eff in sectors])
     psi, dpsi = [], []
-    for orbits, coeffs in _sector_bases(params, initial):
+    for orbits, coeffs, h_eff in sectors:
         d = coeffs.size
         block = np.zeros((2 * d, 2 * d), dtype=complex)
-        block[:d, :d] = block[d:, d:] = -1j * t * _orbit_generator(params, orbits)
+        block[:d, :d] = block[d:, d:] = -1j * t * h_eff
         block[np.arange(d), np.arange(d, 2 * d)] = t * gen[orbits.reps]
-        try:
-            top = expm(block)[:d]
-        except NumericalFault as exc:
-            raise NumericalFault(f"{exc} at t = {t}") from exc
+        top = _shifted_expm(block, rate * t, t)[:d]
         psi.append(top[:, :d] @ coeffs)
         dpsi.append(top[:, d:] @ coeffs)
     psi, dpsi = _joined(psi), _joined(dpsi)
@@ -382,7 +425,8 @@ def o_covariance_qfi(
     e^{-i w_b t} c_b; the product is applied to the unevolved c_b as the
     bounded kernel (e^{-i w_b t} - e^{-i w_a t}) / (i d), since Im w <= 0,
     and in the csinc form where |d t| < 1.  F = 4 (<O+O> - |<O>|^2) on the
-    normalized state.
+    normalized state.  At long times every phase carries the real factor
+    e^{-r t} of the slowest decay rate r (see the module docstring).
 
     t is a time or an array of times.  The decomposition, its condition
     check, V^-1 and V^-1 G V do not depend on t and are made once per
@@ -395,7 +439,7 @@ def o_covariance_qfi(
     """
     n = params.n_sites
     if n > MAX_QUADRATURE_SITES:
-        raise ValueError(f"quadrature oracle capped at {MAX_QUADRATURE_SITES} sites")
+        raise ValueError(f"covariance oracle capped at {MAX_QUADRATURE_SITES} sites")
     if initial.n_sites != n:
         raise ValueError("state size does not match params")
     gen = _parameter_generator(n, wrt)
@@ -417,15 +461,17 @@ def o_covariance_qfi(
         rotated = (vecs_inv * gen[orbits.reps]) @ vecs
         gap = np.subtract.outer(vals, vals)
         sectors.append((vals, vecs, vecs_inv @ coeffs, rotated, gap))
+    slowest = max((float(np.max(vals.imag)) for vals, *_ in sectors), default=0.0)
 
     qfi = np.empty(times.shape)
     # at extreme times O itself overflows; the checks below decide, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i, ti in np.ndenumerate(times):
             ti = float(ti)  # the arithmetic of a scalar call, to the last bit
+            shift = slowest * ti if _shifts(params, ti) else 0.0
             psi, o_psi = [], []
             for vals, vecs, coeffs, rotated, gap in sectors:
-                phase = np.exp(-1j * ti * vals)
+                phase = np.exp(-1j * ti * vals - shift)
                 psi.append(vecs @ (phase * coeffs))
                 # a named kernel: numpy would reuse a temporary right operand
                 # as the output, and its complex product is not bitwise
@@ -468,20 +514,3 @@ def sx_variance_dense(state: DenseState) -> float:
     sx_psi = _sx_apply(state)
     mean = np.vdot(psi, sx_psi).real
     return float(np.vdot(sx_psi, sx_psi).real - mean**2)
-
-
-def sx_expectation(state: DenseState) -> float:
-    return float(np.vdot(state.amplitudes, _sx_apply(state)).real)
-
-
-def occupation_profile(state: DenseState) -> np.ndarray:
-    """<n_i> per site."""
-    return np.abs(state.amplitudes) ** 2 @ (1 - _site_bits(state.n_sites))
-
-
-def xx_correlator_dense(state: DenseState, i: int, j: int) -> complex:
-    """<s^x_i s^x_j> (0-based sites)."""
-    n = state.n_sites
-    flip = _site_mask(n, i) ^ _site_mask(n, j)
-    psi = state.amplitudes
-    return complex(np.vdot(psi, psi[np.arange(2**n) ^ flip]))

@@ -15,11 +15,16 @@ class NoCriticalPointError(ValueError):
 
 
 class NumericalFault(RuntimeError):
-    """A numerical procedure failed (quadrature stall, rank collapse, ...)."""
+    """A numerical procedure failed (overflow, lost normalization, rank collapse, ...)."""
 
 
 class QuadratureError(NumericalFault):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """Adaptive quadrature did not reach the requested tolerance.
+
+    No package code integrates numerically any more: only the adaptive
+    Simpson reference of the tests (`tests/_reference.py`) raises it.  The
+    benchmark in `perfbench/` counts it apart from NumericalFault.
+    """
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved tolerance {achieved:.3e})")

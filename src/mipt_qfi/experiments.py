@@ -29,7 +29,7 @@ from .qfi import critical_mode_coefficient, fbar, qfi_quench
 from .realspace import entanglement_depth, evolve, evolve_series, init_state, witness_qfi
 from .spectral import ModelParams, critical_gamma, spectrum_table
 
-__all__ = ["EXPERIMENTS", "PARAMS", "load_config", "validate_config", "run_experiment", "RunResult"]
+__all__ = ["EXPERIMENTS", "PARAMS", "load_config", "validate_config", "run_experiment"]
 
 
 def load_config(path: str | Path) -> dict:
@@ -167,11 +167,13 @@ PARAMS = {
         "log_offsets": (_LOG_OFFSETS, _LOG_OFFSETS({}, "")),
     }),
     "oracle-check": _object({
-        "quench_sizes": (_array(_number(integer=True, minimum=4, maximum=10, even=True)), [4, 6]),
+        "quench_sizes": (_array(_number(integer=True, minimum=4, maximum=ed.MAX_QUADRATURE_SITES,
+                                        even=True)), [4, 6]),
         "hs": (_array(_number()), [0.3]),
         "gammas": (_array(_RATE), [0.5, 2.0]),
         "times": (_array(_number(minimum=0)), [0.5, 1.5]),
-        "witness_sizes": (_array(_number(integer=True, minimum=4, maximum=12, even=True)), [4, 6]),
+        "witness_sizes": (_array(_number(integer=True, minimum=4, maximum=ed.MAX_DENSE_SITES,
+                                         even=True)), [4, 6]),
         "witness_gammas": (_array(_RATE), [0.75, 4.5]),
         "witness_times": (_array(_number(minimum=0)), [0.5, 2.0]),
         "tol_quench": (_TOLERANCE, 1e-5),

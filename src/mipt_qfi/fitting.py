@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FitResult", "fit_power_law", "fit_exponential_rate", "stable_window_start"]
+__all__ = ["fit_power_law", "fit_exponential_rate", "stable_window_start"]
 
 
 @dataclass(frozen=True)

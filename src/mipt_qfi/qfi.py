@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._entire import csinc, phi3
-from .errors import NumericalFault, QuadratureError
+from .errors import NumericalFault
 from .quench import _ground_pair, evolve_amplitudes, ising_ground_amplitudes
 from .spectral import (
     Mode,
@@ -59,7 +59,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "ModeQfiCoefficient",
     "r_matrix",
     "qfi_quench",
     "mode_qfi_coefficients",
@@ -111,45 +110,6 @@ def _closed_form_entries(mode: Mode, t):
     shared = -4.0 * alpha * beta * t**3 * p
     osc = 1j * beta * t * t * s2
     return a, shared + osc, shared - osc
-
-
-def _quadrature_entries(
-    mode: Mode, t: float, rel_tol: float = 1e-10
-) -> tuple[complex, complex, complex]:
-    """Adaptive composite Simpson for int_0^t e^{-iMs} sigma_z e^{iMs} ds.
-
-    A test reference for the closed form.  The panel count doubles from 8
-    until two successive sums differ by at most rel_tol times the largest
-    entry of the newer one; after 16 doublings without that,
-    QuadratureError reports the last relative change.
-    """
-    alpha, beta, eps = mode.alpha, mode.beta, mode.eps
-
-    def composite(panels: int) -> np.ndarray:
-        s = np.linspace(0.0, t, 2 * panels + 1)
-        w = np.ones(2 * panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        c = np.cos(eps * s)
-        m = -1j * s * csinc(eps * s)
-        e11, e12, e21, e22 = c + m * alpha, m * beta, m * beta, c - m * alpha
-        f11, f12, f21, f22 = c - m * alpha, -m * beta, -m * beta, c + m * alpha
-        # E sigma_z F with sigma_z = diag(1, -1)
-        g11 = e11 * f11 - e12 * f21
-        g12 = e11 * f12 - e12 * f22
-        g21 = e21 * f11 - e22 * f21
-        g22 = e21 * f12 - e22 * f22
-        return (w * (t / (2 * panels) / 3.0)) @ np.stack([g11, g12, g21, g22], axis=-1)
-
-    prev = composite(8)
-    for doubling in range(1, 17):
-        cur = composite(8 * 2**doubling)
-        achieved = float(np.max(np.abs(cur - prev))) / max(float(np.max(np.abs(cur))), 1e-30)
-        if achieved <= rel_tol:
-            a, b, c, _ = cur
-            return complex(a), complex(b), complex(c)
-        prev = cur
-    raise QuadratureError("R_k quadrature stalled", achieved)
 
 
 def r_matrix(mode: Mode, t: float) -> np.ndarray:

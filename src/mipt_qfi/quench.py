@@ -22,13 +22,7 @@ import numpy as np
 from ._entire import csinc
 from .spectral import Mode, ModelParams, mode_system, momentum_grid
 
-__all__ = [
-    "BogoliubovAmplitudes",
-    "ising_ground_amplitudes",
-    "evolve_amplitudes",
-    "mode_occupations",
-    "site_occupation",
-]
+__all__ = ["ising_ground_amplitudes", "evolve_amplitudes"]
 
 
 @dataclass
@@ -87,21 +81,3 @@ def evolve_amplitudes(
     u = c * amps.u + s * (alpha * amps.u + beta * amps.v)
     v = c * amps.v + s * (beta * amps.u - alpha * amps.v)
     return BogoliubovAmplitudes(amps.k, u, v)
-
-
-def mode_occupations(amps: BogoliubovAmplitudes) -> np.ndarray:
-    """Monitored occupation <n_k> = |u_k|^2 / (|u_k|^2 + |v_k|^2) per mode.
-
-    Under the ODE convention i (u, v)' = M_k (u, v) the u component is the
-    amplitude of the occupied pair: in the h -> +infinity limit the ground
-    state has |u| -> 1 and every monitored number is 1 (field-aligned).
-    """
-    nu = np.abs(amps.u) ** 2
-    nv = np.abs(amps.v) ** 2
-    return nu / (nu + nv)
-
-
-def site_occupation(amps: BogoliubovAmplitudes) -> float:
-    """Translation-invariant <n_i> = (2/N) sum_k <n_k> over positive modes."""
-    n_sites = 2 * amps.k.size
-    return float(2.0 / n_sites * np.sum(mode_occupations(amps)))

@@ -42,20 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import expm, pfaffian, xx_table
+from ._kernels import expm, xx_table
 from .errors import NumericalFault
 from .spectral import ModelParams
 
 __all__ = [
-    "GaussianState",
     "init_state",
     "evolve",
     "evolve_series",
     "majorana_correlations",
-    "xx_correlator",
     "witness_qfi",
     "entanglement_depth",
-    "energy_expectation",
 ]
 
 # largest log condition number of a frame entering a QR in `evolve_series`
@@ -86,10 +83,6 @@ class GaussianState:
     def orthonormality_defect(self) -> float:
         w = self.frame()
         return float(np.max(np.abs(w.conj().T @ w - np.eye(self.n_sites))))
-
-    def pairing_matrix(self) -> np.ndarray:
-        """Z = -(U+)^{-1} V+, antisymmetric for a valid fermionic frame."""
-        return -np.linalg.solve(self.U.conj().T, self.V.conj().T)
 
 
 def _hermitian_kernel(n: int, h: float) -> np.ndarray:
@@ -242,20 +235,6 @@ def majorana_correlations(state: GaussianState) -> np.ndarray:
     return x - x.T
 
 
-def xx_correlator(state: GaussianState, i: int, j: int) -> float:
-    """<x_i x_j> via the Pfaffian of the Jordan-Wigner string block (0-based).
-
-    The string i^d (b_i a_{i+1} b_{i+1} ... a_j), d = j - i, Wick-contracts
-    to (-1)^d Pf of the contiguous block Gamma[2i+1:2j+1, 2i+1:2j+1] of the
-    Majorana matrix (interleaved a_0, b_0, a_1, ...).
-    """
-    n = state.n_sites
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < N, got i={i}, j={j}, N={n}")
-    sub = majorana_correlations(state)[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
-    return (-1) ** (j - i) * pfaffian(sub)
-
-
 def witness_qfi(state: GaussianState) -> float:
     """F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j>.
 
@@ -278,13 +257,3 @@ def entanglement_depth(F: float, n_sites: int) -> int:
     ratio = F / n_sites
     m = max(0, math.ceil(ratio - 1.0 - 1e-12))
     return min(m, n_sites - 1) + 1
-
-
-def energy_expectation(state: GaussianState, params: ModelParams) -> float:
-    """<H> of the open-chain Hermitian part on this Gaussian state.
-
-    H = -sum_i x_i x_{i+1} - h sum_i s^z_i with <x_i x_{i+1}> = -Gamma[2i+1, 2i+2]
-    and <s^z_i> = -Gamma[2i, 2i+1], Gamma the Majorana matrix.
-    """
-    bonds = np.diagonal(majorana_correlations(state), offset=1)
-    return float(np.sum(bonds[1::2]) + params.h * np.sum(bonds[0::2]))

@@ -29,17 +29,7 @@ import numpy as np
 
 from .errors import NoCriticalPointError, NumericalFault
 
-__all__ = [
-    "ModelParams",
-    "Mode",
-    "momentum_grid",
-    "mode_system",
-    "critical_gamma",
-    "critical_momentum",
-    "critical_mode_system",
-    "gap_character",
-    "spectrum_table",
-]
+__all__ = ["ModelParams", "mode_system", "critical_gamma", "spectrum_table"]
 
 PERIODIC = "periodic"
 OPEN = "open"
@@ -155,19 +145,6 @@ def critical_mode_system(h: float, gamma: float) -> Mode:
     alpha = np.array(complex(0.0, -0.5 * gamma))
     beta = np.array(2.0 * math.sqrt(1.0 - h * h))
     return Mode(np.array(critical_momentum(h)), alpha, beta, _branch_eigenvalue(alpha, beta))
-
-
-def gap_character(params: ModelParams, atol: float = 1e-9) -> str:
-    """Phase of the critical mode: 'real-gapped', 'critical' or 'imaginary-gapped'.
-
-    Classifies by the sign of eps^2 at k_c, which equals
-    4 (1 - h^2) - gamma^2 / 4 = (gamma_c^2 - gamma^2) / 4.
-    """
-    gc = critical_gamma(params.h)
-    eps2 = (gc * gc - params.gamma * params.gamma) / 4.0
-    if abs(eps2) <= atol:
-        return "critical"
-    return "real-gapped" if eps2 > 0 else "imaginary-gapped"
 
 
 def spectrum_table(params: ModelParams) -> np.ndarray:

@@ -8,10 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from _reference import quadrature_entries
 
-from mipt_qfi import ed, pfaffian
+from mipt_qfi import ed
+from mipt_qfi._kernels import pfaffian
 from mipt_qfi.experiments import run_experiment
-from mipt_qfi.qfi import _quadrature_entries, fbar, qfi_quench, r_matrix
+from mipt_qfi.qfi import fbar, qfi_quench, r_matrix
 from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 from mipt_qfi.realspace import _kernel, evolve, init_state, witness_qfi
 from mipt_qfi.spectral import ModelParams, critical_gamma, mode_system
@@ -202,7 +204,7 @@ class TestCriterion7StructuralInvariants:
             mode = mode_system(p, k)
             r = r_matrix(mode, t)
             rc = (r[0, 0], r[0, 1], r[1, 0])
-            rq = _quadrature_entries(mode, t)
+            rq = quadrature_entries(mode, t)
             scale = max(1.0, *(abs(x) for x in rc))
             delta = max(abs(a - b) for a, b in zip(rc, rq)) / scale
             worst = max(worst, delta)

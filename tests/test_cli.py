@@ -170,6 +170,14 @@ class TestConfigValidation:
         assert result.exit_code == 2, result.output
         assert f"'{field}'" in result.output
 
+    @pytest.mark.parametrize(
+        "field,cap", [("quench_sizes", ed.MAX_QUADRATURE_SITES), ("witness_sizes", ed.MAX_DENSE_SITES)]
+    )
+    def test_oracle_sizes_stop_at_the_dense_caps(self, field, cap):
+        validate_config({"experiment": "oracle-check", "params": {field: [cap]}})
+        with pytest.raises(ConfigError, match=f"params/{field}/0.*greater than the maximum of {cap}"):
+            validate_config({"experiment": "oracle-check", "params": {field: [cap + 2]}})
+
     @pytest.mark.parametrize("name", [e for e in experiments.EXPERIMENTS if e != "oracle-check"])
     def test_missing_params_is_a_config_error(self, tmp_path, name):
         # every runner but oracle-check reads required params
@@ -400,11 +408,16 @@ EDGE_CONFIGS = {
         "sizes": [4, 6, 8], "gamma": 0.75, "measure_time": 1e7}},
     "witness-huge-rate": {"experiment": "witness-scaling", "params": {
         "sizes": [4, 6, 8], "gamma": 1e308, "measure_time": 1.0}},
+    "oracle-long-time": {"experiment": "oracle-check", "params": {
+        "witness_sizes": [4], "witness_gammas": [0.75], "witness_times": [1000]}},
 }
 
 # edge configs that must end in a numerical fault: the frame evolution
 # would take more than MAX_CHUNKS chunks, and used to run without end
 FAULTING_EDGE_CONFIGS = ("witness-huge-time", "witness-huge-rate")
+# edge configs that must pass every check: the dense vacuum's norm used to
+# underflow at t = 1000, where the answer is finite
+PASSING_EDGE_CONFIGS = ("oracle-long-time",)
 
 
 class TestNoTraceback:
@@ -423,6 +436,10 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         if name in FAULTING_EDGE_CONFIGS:
             assert proc.returncode == 4 and "MAX_CHUNKS" in proc.stderr, proc.stderr
+        if name in PASSING_EDGE_CONFIGS:
+            assert proc.returncode == 0, proc.stderr
+            checks = json.loads((tmp_path / f"{config['experiment']}.json").read_text())["results"]["checks"]
+            assert checks and all(c["ok"] for c in checks)
 
     @pytest.mark.parametrize("params", [
         EDGE_CONFIGS["oracle-degenerate-hermitian"]["params"],

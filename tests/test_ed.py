@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
+from _reference import adaptive_simpson, occupation_profile, site_occupation, xx_correlator_dense
 from scipy.sparse.linalg import expm_multiply
 
 import mipt_qfi.ed as ed
@@ -18,12 +19,9 @@ from mipt_qfi.ed import (
     dense_vacuum,
     evolve_dense,
     o_covariance_qfi,
-    occupation_profile,
     qfi_finite_difference,
     qfi_frechet,
-    sx_expectation,
     sx_variance_dense,
-    xx_correlator_dense,
 )
 from mipt_qfi.errors import NumericalFault
 from mipt_qfi.spectral import ModelParams
@@ -144,6 +142,11 @@ def unreduced_covariance_qfi(params, times, initial):
     return out
 
 
+def sx_expectation(state):
+    """<S_x> of a dense state, with S_x applied as in `ed.sx_variance_dense`."""
+    return float(np.vdot(state.amplitudes, ed._sx_apply(state)).real)
+
+
 def uniform_state(n):
     """Equal amplitudes on every basis state: both parity sectors, every orbit."""
     return DenseState(np.full(2**n, 2.0 ** (-n / 2), dtype=complex), n)
@@ -152,8 +155,8 @@ def uniform_state(n):
 def simpson_sneddon_qfi(params, t, initial, wrt):
     """4 Var(O) with O = int_0^t e^{-i H_eff s} G e^{i H_eff s} ds by adaptive Simpson.
 
-    Per parity sector in the eigenbasis of H_eff, the panel count doubling
-    from 16 until two sums agree to 1e-10 of their largest entry.
+    Per parity sector in the eigenbasis of H_eff, by `adaptive_simpson`
+    from 16 panels, up to 12 doublings, to 1e-10 of the largest entry.
     """
     n = params.n_sites
     gen = -0.5 * occupations(n) if wrt == "gamma" else 1j * (2 * occupations(n) - n)
@@ -167,25 +170,13 @@ def simpson_sneddon_qfi(params, t, initial, wrt):
         vecs_inv = np.linalg.inv(vecs)
         gen_tilde = (vecs_inv * gen[mask]) @ vecs
 
-        def composite(panels):
-            nodes = np.linspace(0.0, t, 2 * panels + 1)
-            w = np.ones(2 * panels + 1)
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            w *= t / (2 * panels) / 3.0
+        def weighted_sum(nodes, w):
             ea = np.exp(-1j * np.outer(nodes, vals))
             eb = np.exp(1j * np.outer(nodes, vals))
             return gen_tilde * ((ea * w[:, None]).T @ eb)
 
-        prev = composite(16)
-        for doubling in range(1, 13):
-            cur = composite(16 * 2**doubling)
-            if np.max(np.abs(cur - prev)) <= 1e-10 * np.max(np.abs(cur)):
-                break
-            prev = cur
-        else:
-            raise AssertionError("reference quadrature did not converge")
-        o_psi[mask] = vecs @ (cur @ (vecs_inv @ psi[mask]))
+        integral = adaptive_simpson(weighted_sum, t, 16, 12, 1e-10, "generator")
+        o_psi[mask] = vecs @ (integral @ (vecs_inv @ psi[mask]))
     return 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
 
 
@@ -419,6 +410,46 @@ class TestQfiFrechet:
             qfi_frechet(p, 1e300, initial)
 
 
+class TestLongTimes:
+    # the unnormalized state's norm underflowed by t = 1000, and every route
+    # faulted with "dense evolution lost normalization"; the shift by the
+    # slowest decay rate keeps the normalized answer
+    @pytest.mark.parametrize("n,gamma", [(4, 0.75), (6, 4.5)])
+    def test_evolve_dense_matches_the_gaussian_frame(self, n, gamma):
+        from mipt_qfi.realspace import evolve, init_state, witness_qfi
+
+        p = ModelParams(n, 0.0, gamma, "open")
+        assert ed._shifts(p, 1000.0)
+        dense = 4.0 * sx_variance_dense(evolve_dense(p, 1000.0, dense_vacuum(n)))
+        assert dense == pytest.approx(witness_qfi(evolve(init_state(n), p, 1000.0, 1)), rel=1e-12)
+
+    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    @pytest.mark.parametrize("route", [qfi_frechet, o_covariance_qfi])
+    def test_qfi_keeps_its_converged_value(self, route, wrt):
+        # the state has converged by t = 50, which takes no shift; at
+        # t = 1000 both routes lose about 7 digits to the cancellation of
+        # the t-growing phase derivative in F
+        p = ModelParams(4, 0.3, 2.0)
+        gs, _ = dense_ground_state(p)
+        assert not ed._shifts(p, 50.0) and ed._shifts(p, 1000.0)
+        assert route(p, 1000.0, gs, wrt=wrt) == pytest.approx(route(p, 50.0, gs, wrt=wrt), rel=1e-7)
+
+    @pytest.mark.parametrize("initial", [dense_vacuum(6), random_state(6, 5)], ids=["orbits", "sectors"])
+    def test_a_shift_at_an_ordinary_time_changes_no_route(self, monkeypatch, initial):
+        p, t = ModelParams(6, 0.3, 2.0), 1.5
+
+        def routes():
+            psi = evolve_dense(p, t, initial).amplitudes
+            return psi, qfi_frechet(p, t, initial), o_covariance_qfi(p, t, initial)
+
+        psi0, f_exact0, f_cov0 = routes()
+        monkeypatch.setattr(ed, "SHIFT_FROM", 0.0)
+        psi, f_exact, f_cov = routes()
+        np.testing.assert_allclose(psi, psi0, rtol=0, atol=1e-13)
+        assert f_exact == pytest.approx(f_exact0, rel=1e-12)
+        assert f_cov == pytest.approx(f_cov0, rel=1e-12)
+
+
 class TestCovarianceTimeArray:
     TIMES = [0.0, 0.5, 1.5, 4.0]
 
@@ -578,7 +609,7 @@ class TestSxObservables:
 
 class TestCrossModuleOccupations:
     def test_periodic_occupation_profile_matches_mode_pipeline(self):
-        from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes, site_occupation
+        from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 
         p = ModelParams(6, 0.3, 1.0)
         amps = evolve_amplitudes(ising_ground_amplitudes(p), p, 2.0)

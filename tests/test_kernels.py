@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mipt_qfi import _kernels, ed, pfaffian, realspace
+from mipt_qfi import _kernels, ed, realspace
+from mipt_qfi._kernels import pfaffian
 from mipt_qfi.errors import NumericalFault
 from mipt_qfi.realspace import evolve, init_state, majorana_correlations
 from mipt_qfi.spectral import ModelParams

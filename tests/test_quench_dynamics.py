@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
+from _reference import mode_occupations, site_occupation
 from scipy.integrate import solve_ivp
 
-from mipt_qfi.quench import (
-    BogoliubovAmplitudes,
-    evolve_amplitudes,
-    ising_ground_amplitudes,
-    mode_occupations,
-    site_occupation,
-)
+from mipt_qfi.quench import BogoliubovAmplitudes, evolve_amplitudes, ising_ground_amplitudes
 from mipt_qfi.spectral import ModelParams, mode_system, momentum_grid
 
 

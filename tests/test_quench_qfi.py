@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _reference import quadrature_entries
 
 from mipt_qfi import qfi
 from mipt_qfi._entire import phi3
@@ -48,7 +49,7 @@ class TestRMatrix:
         p = ModelParams(8, 0.3, 2.0)
         mode = mode_system(p, 3 * np.pi / 8)
         r = r_matrix(mode, 1.3)
-        quad = qfi._quadrature_entries(mode, 1.3)
+        quad = quadrature_entries(mode, 1.3)
         for a, b in zip((r[0, 0], r[0, 1], r[1, 0]), quad):
             assert abs(a - b) < 1e-9
 
@@ -74,12 +75,11 @@ class TestRMatrix:
 
     def test_quadrature_stall_reports_achieved_tolerance(self):
         from mipt_qfi.errors import QuadratureError
-        from mipt_qfi.qfi import _quadrature_entries
 
         p = ModelParams(8, 0.3, 2.0)
         mode = mode_system(p, np.pi / 8)
         with pytest.raises(QuadratureError) as err:
-            _quadrature_entries(mode, 2.0, rel_tol=1e-30)
+            quadrature_entries(mode, 2.0, rel_tol=1e-30)
         assert err.value.achieved > 0.0
 
 

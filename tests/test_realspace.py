@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
+from _reference import occupation_profile, xx_correlator_dense
 from hypothesis import strategies as st
 
-from mipt_qfi import _kernels, ed, pfaffian
+from mipt_qfi import _kernels, ed
+from mipt_qfi._kernels import pfaffian
 from mipt_qfi.errors import NumericalFault
 from mipt_qfi.realspace import (
     MAX_CHUNKS,
     GaussianState,
     _kernel,
-    energy_expectation,
     entanglement_depth,
     evolve,
     evolve_series,
     init_state,
     majorana_correlations,
     witness_qfi,
-    xx_correlator,
 )
 from mipt_qfi.spectral import ModelParams
 
@@ -30,6 +30,35 @@ from mipt_qfi.spectral import ModelParams
 def evolved(n, gamma, t, dt=0.05, kind="vacuum", h0=0.0):
     p = ModelParams(n, 0.0, gamma, "open")
     return evolve(init_state(n, kind, h=h0), p, dt, int(round(t / dt)))
+
+
+def xx_correlator(state, i, j):
+    """<x_i x_j> via the Pfaffian of the Jordan-Wigner string block (0-based).
+
+    The string i^d (b_i a_{i+1} b_{i+1} ... a_j), d = j - i, Wick-contracts
+    to (-1)^d Pf of the contiguous block Gamma[2i+1:2j+1, 2i+1:2j+1] of the
+    Majorana matrix (interleaved a_0, b_0, a_1, ...).
+    """
+    n = state.n_sites
+    if not (0 <= i < j < n):
+        raise ValueError(f"need 0 <= i < j < N, got i={i}, j={j}, N={n}")
+    sub = majorana_correlations(state)[2 * i + 1 : 2 * j + 1, 2 * i + 1 : 2 * j + 1]
+    return (-1) ** (j - i) * pfaffian(sub)
+
+
+def energy_expectation(state, params):
+    """<H> of the open-chain Hermitian part on this Gaussian state.
+
+    H = -sum_i x_i x_{i+1} - h sum_i s^z_i with <x_i x_{i+1}> = -Gamma[2i+1, 2i+2]
+    and <s^z_i> = -Gamma[2i, 2i+1], Gamma the Majorana matrix.
+    """
+    bonds = np.diagonal(majorana_correlations(state), offset=1)
+    return float(np.sum(bonds[1::2]) + params.h * np.sum(bonds[0::2]))
+
+
+def pairing_matrix(state):
+    """Z = -(U+)^{-1} V+, antisymmetric for a valid fermionic frame."""
+    return -np.linalg.solve(state.U.conj().T, state.V.conj().T)
 
 
 def quiet_init(n, kind):
@@ -183,6 +212,55 @@ class TestInitState:
         assert st_.orthonormality_defect() < 1e-12
 
 
+# At h = 0, and at h = 0.3 from N = 64 on, the pair of end zero modes of
+# the open-chain kernel is degenerate to round-off, and `init_state` takes a
+# Majorana vector of the pair, which annihilates no fermion state.  ROADMAP
+# lists the fix (U, V = (Phi +- Psi) / 2 from the SVD A - P = Phi Lambda Psi^T);
+# until it lands these cases fail, and strictly so.
+ZERO_MODE_DEFECT = pytest.mark.xfail(
+    strict=True, reason="the h = 0 ground frame holds a Majorana zero mode (ROADMAP)"
+)
+
+
+def dense_even_ground_state(n):
+    """Even-parity ground state of the dense open chain at h = 0, the h -> 0+ limit."""
+    even, _ = ed._parity_sectors(n)
+    h_mat = ed.build_hamiltonian(ModelParams(n, 0.0, 0.0, "open"))
+    _, vecs = np.linalg.eigh(h_mat[np.ix_(even, even)])
+    amps = np.zeros(2**n, dtype=complex)
+    amps[even] = vecs[:, 0]
+    return ed.DenseState(amps, n)
+
+
+@pytest.mark.filterwarnings("ignore:open-chain ground state is degenerate")
+class TestZeroFieldGroundFrame:
+    @pytest.mark.parametrize("n,h", [
+        pytest.param(8, 0.0, marks=ZERO_MODE_DEFECT),
+        pytest.param(16, 0.0, marks=ZERO_MODE_DEFECT),
+        pytest.param(64, 0.0, marks=ZERO_MODE_DEFECT),
+        pytest.param(64, 0.3, marks=ZERO_MODE_DEFECT),
+        (8, 0.3),
+        (8, 0.5),
+        (10, 0.7),
+    ])
+    def test_frame_is_a_fermionic_vacuum(self, n, h):
+        # the columns anticommute, {chi_m, chi_n} = 0, and the state is pure
+        state = init_state(n, "hermitian-ground", h=h)
+        assert np.max(np.abs(state.U.T @ state.V + state.V.T @ state.U)) <= 1e-10
+        gamma = majorana_correlations(state)
+        assert np.max(np.abs(gamma @ gamma + np.eye(2 * n))) <= 1e-10
+
+    @ZERO_MODE_DEFECT
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_evolves_like_the_dense_even_ground_state(self, n):
+        # dense: F = 11.414238476643632 (N = 6) and 15.421061141374661
+        # (N = 8); the frame gives 12.1254 and 16.5154
+        p = ModelParams(n, 0.0, 0.75, "open")
+        dense = 4.0 * ed.sx_variance_dense(ed.evolve_dense(p, 7.5, dense_even_ground_state(n)))
+        frame = witness_qfi(evolve(init_state(n, "hermitian-ground"), p, 7.5, 1))
+        assert frame == pytest.approx(dense, rel=1e-9)
+
+
 class TestEvolve:
     def test_unitary_step_before_renormalization(self):
         p = ModelParams(8, 0.0, 0.0, "open")
@@ -197,7 +275,7 @@ class TestEvolve:
         st_ = evolved(6, 1.5, 2.0)
         n_gauss = np.real(np.diag(st_.V @ st_.V.conj().T))
         p = ModelParams(6, 0.0, 1.5, "open")
-        n_dense = ed.occupation_profile(ed.evolve_dense(p, 2.0, ed.dense_vacuum(6)))
+        n_dense = occupation_profile(ed.evolve_dense(p, 2.0, ed.dense_vacuum(6)))
         np.testing.assert_allclose(n_gauss, n_dense, atol=1e-7)
 
     def test_invariants_hold_after_every_step(self):
@@ -206,7 +284,7 @@ class TestEvolve:
         for _ in range(25):
             state = evolve(state, p, 0.1, 1)
             assert state.orthonormality_defect() < 1e-10
-            z = state.pairing_matrix()
+            z = pairing_matrix(state)
             assert np.max(np.abs(z + z.T)) < 1e-10
 
     def test_step_size_only_sets_renormalization_cadence(self):
@@ -364,7 +442,7 @@ class TestCorrelators:
         dst, _ = ed.dense_ground_state(p)
         for i in range(7):
             a = xx_correlator(st_, i, i + 1)
-            b = ed.xx_correlator_dense(dst, i, i + 1)
+            b = xx_correlator_dense(dst, i, i + 1)
             assert abs(a - b) < 1e-7
 
     def test_reflection_symmetry(self):

@@ -7,11 +7,23 @@ from mipt_qfi.spectral import (
     critical_gamma,
     critical_mode_system,
     critical_momentum,
-    gap_character,
     mode_system,
     momentum_grid,
     spectrum_table,
 )
+
+
+def gap_character(params, atol=1e-9):
+    """Phase of the critical mode: 'real-gapped', 'critical' or 'imaginary-gapped'.
+
+    Classifies by the sign of eps^2 at k_c, which equals
+    4 (1 - h^2) - gamma^2 / 4 = (gamma_c^2 - gamma^2) / 4.
+    """
+    gc = critical_gamma(params.h)
+    eps2 = (gc * gc - params.gamma * params.gamma) / 4.0
+    if abs(eps2) <= atol:
+        return "critical"
+    return "real-gapped" if eps2 > 0 else "imaginary-gapped"
 
 
 class TestMomentumGrid:
