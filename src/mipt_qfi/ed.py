@@ -213,11 +213,17 @@ def _orbit_generator(params: ModelParams, orbits: _Orbits) -> np.ndarray:
     The diagonal is constant on an orbit.  Each xx bond sends every row y
     to the row x = y ^ flip and adds -w_a w_b to entry (orbit of x, orbit
     of y); on singleton orbits this is the bond's -1 on the basis states.
+    Raises NumericalFault naming gamma and h when the diagonal overflows.
     """
     n = params.n_sites
     rows, label, weight = orbits.rows, orbits.label, orbits.weight
     occupied = _occupations(n)[orbits.reps]
-    out = np.diag(-params.h * (2 * occupied - n) - 0.5j * params.gamma * occupied)
+    # an overflow leaves a non-finite entry, which the test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = -params.h * (2 * occupied - n) - 0.5j * params.gamma * occupied
+    if not np.all(np.isfinite(diagonal)):
+        raise NumericalFault(f"H_eff is not finite at gamma = {params.gamma!r}, h = {params.h!r}")
+    out = np.diag(diagonal)
     bonds = n if params.boundary == "periodic" else n - 1
     for i in range(bonds):
         flip = _site_mask(n, i) ^ _site_mask(n, (i + 1) % n)
@@ -291,11 +297,8 @@ def _shifts(params: ModelParams, t: float) -> bool:
 
 
 def _decay_rate(params: ModelParams, t: float, blocks: list[np.ndarray]) -> float:
-    """The shift r at time t: the largest Im of the blocks' eigenvalues, or 0 where none is due.
-
-    A non-finite block takes no shift; its exponential faults.
-    """
-    if not (_shifts(params, t) and all(np.all(np.isfinite(block)) for block in blocks)):
+    """The shift r at time t: the largest Im of the blocks' eigenvalues, or 0 where none is due."""
+    if not _shifts(params, t):
         return 0.0
     return max(float(np.max(np.linalg.eigvals(block).imag)) for block in blocks)
 

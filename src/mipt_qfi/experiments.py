@@ -229,7 +229,6 @@ class RunResult:
     csv_path: Path
     json_path: Path
     summary: dict
-    ok: bool
 
 
 def _versions() -> dict:
@@ -440,7 +439,6 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
-    ok = all(c.get("ok", True) for c in checks)
     summary = {
         "config": config,
         "results": {"fits": fits, "checks": checks},
@@ -451,7 +449,7 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
     with open(json_path, "w", newline="") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    if not ok:
-        failed = [c["name"] for c in checks if not c.get("ok", True)]
+    failed = [c["name"] for c in checks if not c.get("ok", True)]
+    if failed:
         raise ToleranceFailure(f"checks above tolerance: {', '.join(failed)}")
-    return RunResult(csv_path, json_path, summary, ok)
+    return RunResult(csv_path, json_path, summary)

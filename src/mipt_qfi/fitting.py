@@ -9,6 +9,9 @@ import numpy as np
 
 __all__ = ["fit_power_law", "fit_exponential_rate", "stable_window_start"]
 
+# stable_window_start takes three log-slopes as steady within this share
+_STEADY_SLOPE_RTOL = 0.05
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -65,12 +68,12 @@ def fit_exponential_rate(ts, fs) -> FitResult:
     return FitResult(slope, intercept, resid, tuple(float(t) for t in ts))
 
 
-def stable_window_start(ts, fs, rel_tol: float = 0.05) -> int:
+def stable_window_start(ts, fs) -> int:
     """First index where the local log-slope is steady over three samples.
 
     Used to exclude the early transient: returns the earliest i such that
     the slopes of the three consecutive segments starting at i agree
-    pairwise within rel_tol; falls back to 0 if none do.
+    pairwise within _STEADY_SLOPE_RTOL; falls back to 0 if none do.
     """
     ts = np.asarray(ts, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -78,6 +81,6 @@ def stable_window_start(ts, fs, rel_tol: float = 0.05) -> int:
     for i in range(slopes.size - 2):
         trio = slopes[i : i + 3]
         scale = max(abs(trio).max(), 1e-30)
-        if (trio.max() - trio.min()) <= rel_tol * scale:
+        if (trio.max() - trio.min()) <= _STEADY_SLOPE_RTOL * scale:
             return i
     return 0

@@ -42,8 +42,6 @@ through the linear-in-t term, (gamma_c - gamma)^{-2} from below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._entire import csinc, phi3
@@ -76,26 +74,8 @@ _ROUNDOFF_RTOL = 1e-6
 # exact zero: the grid mode sits on the exceptional point
 _EXCEPTIONAL_RTOL = 16.0 * np.finfo(float).eps
 
-
-@dataclass(frozen=True)
-class ModeQfiCoefficient:
-    """Time-free long-time data of the grid modes, one array per field, ascending k.
-
-    Gamma is the Im <= 0 spectral branch; each mode's QFI approaches F_k
-    with corrections decaying like exp(4 Gamma t).  Modes without decay
-    contrast (gamma = 0, or the critical momentum below gamma_c) never
-    saturate; they carry the degenerate flag, zero tilde entries, and F_k
-    then stores the t^2-law coefficient evaluated on the quench initial
-    state.
-    """
-
-    k: np.ndarray
-    F_k: np.ndarray
-    Gamma: np.ndarray
-    tilde_A: np.ndarray
-    tilde_B: np.ndarray
-    tilde_C: np.ndarray
-    degenerate: np.ndarray
+# largest residual of the tilde factorization, relative to the entries of R
+_FACTORIZATION_RTOL = 1e-9
 
 
 def _closed_form_entries(mode: Mode, t):
@@ -177,7 +157,7 @@ def _tilde_entries(mode: Mode):
     )
 
 
-def _assert_factorization(mode: Mode, tildes, check, tol: float = 1e-9) -> None:
+def _assert_factorization(mode: Mode, tildes, check) -> None:
     """Check the exact split of R into linear + constant + growing + decaying.
 
     Fixes the signs of the tilde coefficients by identity rather than by
@@ -203,7 +183,7 @@ def _assert_factorization(mode: Mode, tildes, check, tol: float = 1e-9) -> None:
         scale = np.maximum(np.max(np.abs([a, b, c]), axis=0), 1.0)
         ratio = np.max(np.where(check, resid / scale, 0.0), axis=0)
     worst = int(np.argmax(ratio))
-    if not ratio[worst] <= tol:
+    if not ratio[worst] <= _FACTORIZATION_RTOL:
         raise NumericalFault(
             f"tilde factorization failed at k = {mode.k[worst]:.6f} "
             f"(relative residual {ratio[worst]:.2e})"
@@ -216,13 +196,14 @@ def _linear_entries(mode: Mode):
     return lin * mode.alpha, lin * mode.beta, lin * mode.beta
 
 
-def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
-    """Long-time decomposition data of the grid modes, one array per field.
+def mode_qfi_coefficients(params: ModelParams) -> np.ndarray:
+    """Time-free QFI coefficients F_k of the grid modes, ascending in k.
 
-    For gamma > 0 generic grids every mode has decay contrast and F_k is
-    the mode's saturation value; sum F_k is then the late-time plateau of
-    the full QFI, approached as the exp(4 Gamma_k t) corrections die out.
-    Real-eigenvalue modes are flagged degenerate (t^2 law instead).
+    A mode with decay contrast saturates at F_k, with corrections that die
+    like exp(4 Gamma_k t); for gamma > 0 generic grids every mode does, and
+    sum F_k is the late-time plateau of the full QFI.  A mode without decay
+    contrast (gamma = 0, or the critical momentum below gamma_c) follows a
+    t^2 law instead, and F_k is its coefficient on the quench initial state.
     Raises NumericalFault when gamma = gamma_c puts the exceptional point
     eps = 0 on a grid momentum, where the plateau diverges, and when gamma
     is so large (from about 1e103) that eps^3 overflows.
@@ -264,13 +245,7 @@ def mode_qfi_coefficients(params: ModelParams) -> ModeQfiCoefficient:
     # real-eigenvalue modes follow a t^2 law set by the linear part of R
     # on the quench initial state
     f_t2 = np.abs(_off_diagonal(_linear_entries(mode), *_ground_pair(mode))) ** 2
-    return ModeQfiCoefficient(
-        mode.k,
-        np.where(degenerate, f_t2, f_limit),
-        mode.Gamma,
-        *(np.where(degenerate, 0j, x) for x in tildes),
-        degenerate,
-    )
+    return np.where(degenerate, f_t2, f_limit)
 
 
 def fbar(params: ModelParams) -> float:
@@ -278,7 +253,7 @@ def fbar(params: ModelParams) -> float:
 
     Raises NumericalFault when the sum or the mode spectrum is not finite.
     """
-    value = float(np.sum(mode_qfi_coefficients(params).F_k))
+    value = float(np.sum(mode_qfi_coefficients(params)))
     if not np.isfinite(value):
         raise NumericalFault(f"Fbar is not finite ({value}) at {params}")
     return value

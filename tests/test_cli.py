@@ -410,11 +410,22 @@ EDGE_CONFIGS = {
         "sizes": [4, 6, 8], "gamma": 1e308, "measure_time": 1.0}},
     "oracle-long-time": {"experiment": "oracle-check", "params": {
         "witness_sizes": [4], "witness_gammas": [0.75], "witness_times": [1000]}},
+    "oracle-huge-rate": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "gammas": [1e308], "witness_sizes": []}},
+    "oracle-huge-field": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "hs": [1e308], "witness_sizes": []}},
 }
 
-# edge configs that must end in a numerical fault: the frame evolution
-# would take more than MAX_CHUNKS chunks, and used to run without end
-FAULTING_EDGE_CONFIGS = ("witness-huge-time", "witness-huge-rate")
+# edge configs that must end in a numerical fault, with what the message
+# names: the frame evolution would take more than MAX_CHUNKS chunks, and
+# used to run without end; the dense H_eff overflows, and used to reach
+# np.linalg.eig with inf entries
+FAULTING_EDGE_CONFIGS = {
+    "witness-huge-time": "MAX_CHUNKS",
+    "witness-huge-rate": "MAX_CHUNKS",
+    "oracle-huge-rate": "H_eff is not finite at gamma = 1e+308, h = 0.3",
+    "oracle-huge-field": "H_eff is not finite at gamma = 0.0, h = 1e+308",
+}
 # edge configs that must pass every check: the dense vacuum's norm used to
 # underflow at t = 1000, where the answer is finite
 PASSING_EDGE_CONFIGS = ("oracle-long-time",)
@@ -435,7 +446,7 @@ class TestNoTraceback:
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr
         if name in FAULTING_EDGE_CONFIGS:
-            assert proc.returncode == 4 and "MAX_CHUNKS" in proc.stderr, proc.stderr
+            assert proc.returncode == 4 and FAULTING_EDGE_CONFIGS[name] in proc.stderr, proc.stderr
         if name in PASSING_EDGE_CONFIGS:
             assert proc.returncode == 0, proc.stderr
             checks = json.loads((tmp_path / f"{config['experiment']}.json").read_text())["results"]["checks"]

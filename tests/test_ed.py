@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import warnings
 
@@ -635,6 +636,33 @@ class TestGroundState:
         vals, vecs = np.linalg.eigh(build_hamiltonian(p))
         assert energy == pytest.approx(vals[0], rel=1e-12)
         np.testing.assert_array_equal(state.amplitudes, vecs[:, 0])
+
+
+class TestNonFiniteGenerator:
+    # gamma or |h| near the largest double overflows the diagonal of H_eff;
+    # every route builds its blocks in one place, which names both
+    ROUTES = {
+        "evolve_dense": lambda p, psi0: evolve_dense(p, 0.5, psi0),
+        "qfi_frechet": lambda p, psi0: qfi_frechet(p, 0.5, psi0),
+        "o_covariance_qfi": lambda p, psi0: o_covariance_qfi(p, 0.5, psi0),
+        "qfi_finite_difference": lambda p, psi0: qfi_finite_difference(p, 0.5, psi0),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("h,gamma", [(0.3, 1e308), (1e308, 0.5)], ids=["rate", "field"])
+    def test_route_names_the_overflowing_parameter(self, route, h, gamma):
+        p = ModelParams(4, h, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"H_eff is not finite at gamma = {gamma!r}, h = {h!r}"
+            with pytest.raises(NumericalFault, match=re.escape(message)):
+                self.ROUTES[route](p, dense_vacuum(4))
+
+    def test_ground_state_names_the_overflowing_field(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFault, match=re.escape("H_eff is not finite at gamma = 0.0, h = 1e+308")):
+                dense_ground_state(ModelParams(4, 1e308, 0.0))
 
 
 class TestBitConvention:

@@ -157,31 +157,49 @@ class TestModeCoefficients:
         assert all(b <= a * 1.001 for a, b in zip(errs, errs[1:]))
 
     def test_hermitian_limit_degenerates(self):
-        coeffs = mode_qfi_coefficients(ModelParams(8, 0.3, 0.0))
-        assert np.all(coeffs.degenerate)
-        assert np.all(coeffs.Gamma == 0.0)
-        assert not np.any(coeffs.tilde_A) and not np.any(coeffs.tilde_B)
+        # no mode decays at gamma = 0, so each F_k is the t^2-law coefficient,
+        # which vanishes on the quench initial state: an eigenvector of M_k
+        p = ModelParams(8, 0.3, 0.0)
+        assert np.all(mode_system(p, momentum_grid(8)).Gamma == 0.0)
+        np.testing.assert_allclose(mode_qfi_coefficients(p), 0.0, rtol=0, atol=1e-30)
+
+    def test_critical_grid_mode_carries_its_t2_coefficient(self):
+        # h = 0 puts k_c = pi/2 on the N = 6 grid; below gamma_c its pair is
+        # real and F_k is the t^2-law coefficient of the off-grid formula
+        p = ModelParams(6, 0.0, 2.0)
+        f_k = mode_qfi_coefficients(p)
+        assert f_k[1] == pytest.approx(critical_mode_coefficient(0.0, 2.0), rel=1e-12)
 
     def test_generic_modes_not_degenerate(self):
-        coeffs = mode_qfi_coefficients(ModelParams(16, 0.3, 2.0))
-        assert not np.any(coeffs.degenerate)
-        assert np.all(coeffs.F_k >= 0)
-        assert np.all(coeffs.Gamma < 0)
+        p = ModelParams(16, 0.3, 2.0)
+        mode = mode_system(p, momentum_grid(16))
+        assert np.all(np.abs(mode.Gamma) > qfi.DEGENERATE_GAMMA_TOL * np.maximum(1.0, np.abs(mode.eps)))
+        assert np.all(mode_qfi_coefficients(p) >= 0)
+        assert np.all(mode.Gamma < 0)
 
     def test_coefficients_ascending_in_k(self):
-        coeffs = mode_qfi_coefficients(ModelParams(16, 0.5, 1.0))
-        np.testing.assert_array_equal(coeffs.k, momentum_grid(16))
-        assert np.all(np.diff(coeffs.k) > 0)
-        for field in ("F_k", "Gamma", "tilde_A", "tilde_B", "tilde_C", "degenerate"):
-            assert getattr(coeffs, field).shape == coeffs.k.shape
+        # F_k = beta^2 |u~^2 + v~^2|^2 / (4 |eps^2|^2) on the dominant
+        # eigenvector (u~, v~) of M_k, one entry per grid momentum in order
+        p = ModelParams(16, 0.5, 1.0)
+        ks = momentum_grid(16)
+        assert np.all(np.diff(ks) > 0)
+        mode = mode_system(p, ks)
+        blocks = np.stack([np.stack([mode.alpha, mode.beta + 0j], axis=-1),
+                           np.stack([mode.beta + 0j, -mode.alpha], axis=-1)], axis=-2)
+        vals, vecs = np.linalg.eig(blocks)
+        dominant = vecs[np.arange(ks.size), :, np.argmax(vals.imag, axis=-1)]
+        expected = mode.beta**2 * np.abs(np.sum(dominant**2, axis=-1)) ** 2 / (4.0 * np.abs(mode.eps) ** 4)
+        f_k = mode_qfi_coefficients(p)
+        assert f_k.shape == ks.shape
+        np.testing.assert_allclose(f_k, expected, rtol=1e-12)
 
     def test_tilde_entries_time_independent(self):
         # two independent builds agree identically
         p = ModelParams(16, 0.3, 2.0)
-        a = mode_qfi_coefficients(p)
-        b = mode_qfi_coefficients(p)
-        for field in ("tilde_A", "tilde_B", "tilde_C"):
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        a = qfi._tilde_entries(mode_system(p, momentum_grid(16)))
+        b = qfi._tilde_entries(mode_system(p, momentum_grid(16)))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_corrupted_tilde_coefficient_raises(self, monkeypatch):
         p = ModelParams(16, 0.3, 2.0)
@@ -200,22 +218,22 @@ class TestModeCoefficients:
         # At e^{2 i eps t} + (linear and decaying pieces) must reproduce
         # the closed-form A(t) on every mode
         p = ModelParams(12, 0.4, 3.0)
-        coeffs = mode_qfi_coefficients(p)
-        mode = mode_system(p, coeffs.k)
+        mode = mode_system(p, momentum_grid(12))
+        tilde_a, _, _ = qfi._tilde_entries(mode)
         t = 1.1
         r = r_matrix(mode, t)
         eps = mode.eps
         lin = mode.alpha**2 / eps**2 * t
-        rebuilt = lin + coeffs.tilde_A * (np.exp(2j * eps * t) - np.exp(-2j * eps * t))
+        rebuilt = lin + tilde_a * (np.exp(2j * eps * t) - np.exp(-2j * eps * t))
         np.testing.assert_allclose(r[:, 0, 0], rebuilt, rtol=1e-9, atol=1e-9)
 
 
 class TestFbar:
     def test_dominates_every_mode(self):
         p = ModelParams(32, 0.6, 2.0)
-        coeffs = mode_qfi_coefficients(p)
-        assert fbar(p) == pytest.approx(float(np.sum(coeffs.F_k)), rel=1e-15)
-        assert fbar(p) >= np.max(coeffs.F_k)
+        f_k = mode_qfi_coefficients(p)
+        assert fbar(p) == pytest.approx(float(np.sum(f_k)), rel=1e-15)
+        assert fbar(p) >= np.max(f_k)
 
     def test_peaks_at_critical_rate(self):
         h = 0.6
@@ -242,9 +260,9 @@ class TestFbar:
         assert fbar(ModelParams(8, 0.0, 4.0)) == pytest.approx(0.10597, rel=1e-4)
 
     def test_non_finite_sum_raises(self, monkeypatch):
-        coeffs = qfi.mode_qfi_coefficients(ModelParams(8, 0.6, 2.0))
-        coeffs.F_k[1] = np.nan
-        monkeypatch.setattr(qfi, "mode_qfi_coefficients", lambda params: coeffs)
+        f_k = qfi.mode_qfi_coefficients(ModelParams(8, 0.6, 2.0))
+        f_k[1] = np.nan
+        monkeypatch.setattr(qfi, "mode_qfi_coefficients", lambda params: f_k)
         with pytest.raises(NumericalFault, match="Fbar is not finite"):
             fbar(ModelParams(8, 0.6, 2.0))
 
