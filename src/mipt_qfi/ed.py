@@ -13,39 +13,39 @@ operator is built or applied from these bit operations alone.
 
 Parity sectors: every term of H_eff conserves the fermion parity
 (-1)^(sum_i n_i), since an xx bond flips two bits and s^z, n_i are
-diagonal; both QFI generators are diagonal too.  Evolution and the
-generator integral therefore run on each parity sector (2^(N-1) states)
-in which the initial state has weight; a sector without weight is never
-touched and stays exactly zero.
+diagonal; so is the generator of the rate,
+G = d(-i H_eff)/d gamma = -(1/2) sum_i n_i.  Evolution and the generator
+integral therefore run on each parity sector (2^(N-1) states) in which
+the initial state has weight; a sector without weight is never touched
+and stays exactly zero.
 
 Symmetry orbits: a permutation of the sites maps basis states to basis
 states and keeps sum_i n_i, so it maps each parity sector to itself.  The
 chain's site symmetries, the N rotations and the reflection
 i <-> N-1-i of the periodic chain and the reflection alone of the open
-chain, commute with H_eff and with both generators.  A sector whose
-amplitudes are exactly equal on every orbit of these symmetries
-therefore never leaves the span of the orbit vectors
-|O|^(-1/2) sum_{x in O} |x>, an orthonormal basis in which H_eff is
-accumulated from the orbit labels and the generators stay diagonal.  The
-periodic chain's even sector has 8 orbits at N = 6, 18 at N = 8 and 44
-at N = 10, against 32, 128 and 512 states.  The vacuum, the periodic
-ground state and every state evolved from them are symmetric in this
-sense; a sector with any other amplitudes keeps its own basis states,
-one orbit each.  Every route evolves the orbit coefficients and finds F
-from them; `evolve_dense` and `dense_ground_state` expand them back to
-the 2^N amplitudes.
+chain, commute with H_eff and with G.  A sector whose amplitudes are
+exactly equal on every orbit of these symmetries therefore never leaves
+the span of the orbit vectors |O|^(-1/2) sum_{x in O} |x>, an orthonormal
+basis in which H_eff is accumulated from the orbit labels and G stays
+diagonal.  The periodic chain's even sector has 8 orbits at N = 6, 18 at
+N = 8 and 44 at N = 10, against 32, 128 and 512 states.  The vacuum, the
+periodic ground state and every state evolved from them are symmetric in
+this sense; a sector with any other amplitudes keeps its own basis
+states, one orbit each.  Every route evolves the orbit coefficients and
+finds F from them; `evolve_dense` and `dense_ground_state` expand them
+back to the 2^N amplitudes.
 
-The QFI routes implemented here are deliberately independent of the
-free-fermion machinery and of each other.  `qfi_frechet` reads the
-state and its exact parameter derivative off one exponential of a block
-matrix per sector (`_kernels.expm`) and needs no eigenbasis.  The
-covariance of the time-integrated generator takes one
-eigendecomposition of H_eff per sector, which gives the evolved state and
-the integral in closed form, with no quadrature, at every requested time:
-one call with an array of times decomposes each sector once.  Central
-finite differences of the normalized state of `evolve_dense`, whose
-sector exponentials are the numpy Pade approximant `_kernels.expm`, are
-the reference both are tested against.
+The QFI routes implemented here, all for the rate gamma, are
+deliberately independent of the free-fermion machinery and of each
+other.  `qfi_frechet` reads the state and its exact rate derivative off
+one exponential of a block matrix per sector (`_kernels.expm`) and needs
+no eigenbasis.  The covariance of the time-integrated generator takes
+one eigendecomposition of H_eff per sector, which gives the evolved state
+and the integral in closed form, with no quadrature, at every requested
+time: one call with an array of times decomposes each sector once.
+Central finite differences of the normalized state of `evolve_dense`,
+whose sector exponentials are the numpy Pade approximant `_kernels.expm`,
+are the reference both are tested against.
 
 Long times: the norm of the unnormalized state decays like e^{r t},
 where r <= 0 is the largest Im of the occupied sectors' eigenvalues (the
@@ -184,12 +184,16 @@ def _sector_orbits(n: int, boundary: str) -> tuple[_Orbits, _Orbits]:
     return tuple(sectors)
 
 
-def _sector_bases(params: ModelParams, state: DenseState) -> list[tuple[_Orbits, np.ndarray]]:
-    """The parity sectors `state` occupies, each in its basis with `state`'s coefficients.
+def _sector_bases(
+    params: ModelParams, state: DenseState
+) -> list[tuple[_Orbits, np.ndarray, np.ndarray]]:
+    """The parity sectors `state` occupies: each basis, `state`'s coefficients and H_eff on it.
 
     The basis is the sector's orbits when the amplitudes are exactly equal
     on every orbit, and the sector's own basis states otherwise.
     """
+    if state.n_sites != params.n_sites:
+        raise ValueError("state size does not match params")
     bases = []
     for orbits in _sector_orbits(state.n_sites, params.boundary):
         amps = state.amplitudes[orbits.rows]
@@ -198,7 +202,7 @@ def _sector_bases(params: ModelParams, state: DenseState) -> list[tuple[_Orbits,
         coeffs = state.amplitudes[orbits.reps]
         if not np.array_equal(amps, coeffs[orbits.label]):
             orbits, coeffs = _singletons(orbits.rows), amps
-        bases.append((orbits, coeffs / orbits.weight))
+        bases.append((orbits, coeffs / orbits.weight, _orbit_generator(params, orbits)))
     return bases
 
 
@@ -280,10 +284,7 @@ def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseSta
     Raises NumericalFault naming t when the state loses its norm or the
     exponential overflows.
     """
-    if initial.n_sites != params.n_sites:
-        raise ValueError("state size does not match params")
-    sectors = [(orbits, coeffs, _orbit_generator(params, orbits))
-               for orbits, coeffs in _sector_bases(params, initial)]
+    sectors = _sector_bases(params, initial)
     rate = _decay_rate(params, t, [block for _, _, block in sectors])
     psi = np.zeros(2**params.n_sites, dtype=complex)
     for orbits, coeffs, block in sectors:
@@ -320,36 +321,16 @@ def _evolved_norm(psi: np.ndarray, t: float) -> float:
     return norm
 
 
-def _normalized_psi(params: ModelParams, t: float, initial: DenseState, wrt: str, shift: float):
-    if wrt == "gamma":
-        shifted = params.with_gamma(params.gamma + shift)
-    elif wrt == "h":
-        shifted = ModelParams(params.n_sites, params.h + shift, params.gamma, params.boundary)
-    else:
-        raise ValueError(f"unknown parameter {wrt!r}")
-    return evolve_dense(shifted, t, initial).amplitudes
-
-
 def _qfi_from_derivative(psi: np.ndarray, dpsi: np.ndarray) -> float:
     overlap = np.vdot(psi, dpsi)
     return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(overlap) ** 2))
 
 
-def _parameter_generator(n: int, wrt: str) -> np.ndarray:
-    """Diagonal of G = d(-i H_eff)/d(wrt) over all 2^n basis states."""
-    occupied = _occupations(n)
-    if wrt == "gamma":
-        return -0.5 * occupied
-    if wrt == "h":
-        return 1j * (2 * occupied - n)
-    raise ValueError(f"unknown parameter {wrt!r}")
+def qfi_frechet(params: ModelParams, t: float, initial: DenseState) -> float:
+    """QFI for the rate from the exact derivative of the normalized evolved state.
 
-
-def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "gamma") -> float:
-    """QFI from the exact derivative of the normalized evolved state.
-
-    On each occupied parity sector, with X = -i t H_eff, whose parameter
-    derivative is t G with G the diagonal of `_parameter_generator`, the
+    On each occupied parity sector, with X = -i t H_eff, whose rate
+    derivative is t G with G = -(1/2) sum_i n_i diagonal, the
     exponential of the block matrix [[X, t G], [0, X]] is
     [[e^X, L(X, t G)], [0, e^X]], L the Frechet derivative of e^X (Higham,
     Functions of Matrices, SIAM 2008, Sec. 3.2).  So psi = e^X psi0 and
@@ -360,18 +341,15 @@ def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "
     identity scales both blocks alike.  Raises NumericalFault naming t when
     the state loses its norm or the exponential overflows.
     """
-    if initial.n_sites != params.n_sites:
-        raise ValueError("state size does not match params")
-    gen = _parameter_generator(params.n_sites, wrt)
-    sectors = [(orbits, coeffs, _orbit_generator(params, orbits))
-               for orbits, coeffs in _sector_bases(params, initial)]
+    sectors = _sector_bases(params, initial)
     rate = _decay_rate(params, t, [h_eff for _, _, h_eff in sectors])
     psi, dpsi = [], []
     for orbits, coeffs, h_eff in sectors:
         d = coeffs.size
         block = np.zeros((2 * d, 2 * d), dtype=complex)
         block[:d, :d] = block[d:, d:] = -1j * t * h_eff
-        block[np.arange(d), np.arange(d, 2 * d)] = t * gen[orbits.reps]
+        gen = -0.5 * _occupations(params.n_sites)[orbits.reps]
+        block[np.arange(d), np.arange(d, 2 * d)] = t * gen
         top = _shifted_expm(block, rate * t, t)[:d]
         psi.append(top[:, :d] @ coeffs)
         dpsi.append(top[:, d:] @ coeffs)
@@ -382,27 +360,19 @@ def qfi_frechet(params: ModelParams, t: float, initial: DenseState, wrt: str = "
     return _qfi_from_derivative(u, dpsi - u * np.vdot(u, dpsi).real)
 
 
-def qfi_finite_difference(
-    params: ModelParams,
-    t: float,
-    initial: DenseState,
-    delta: float = FD_STEP,
-    wrt: str = "gamma",
-) -> float:
-    """QFI from central differences of the normalized state, Richardson once.
+def qfi_finite_difference(params: ModelParams, t: float, initial: DenseState) -> float:
+    """QFI for the rate from central differences of the normalized state, Richardson once.
 
-    The state is normalized before differentiating; for non-unitary
-    evolution differentiating the raw exponential would give the QFI of
-    the wrong (unphysical) family.
+    The steps are FD_STEP and FD_STEP / 2.  The state is normalized before
+    differentiating; for non-unitary evolution differentiating the raw
+    exponential would give the QFI of the wrong (unphysical) family.
     """
-    psi = _normalized_psi(params, t, initial, wrt, 0.0)
+    psi = evolve_dense(params, t, initial).amplitudes
     estimates = []
-    for step in (delta, delta / 2.0):
-        dpsi = (
-            _normalized_psi(params, t, initial, wrt, +step)
-            - _normalized_psi(params, t, initial, wrt, -step)
-        ) / (2.0 * step)
-        estimates.append(_qfi_from_derivative(psi, dpsi))
+    for step in (FD_STEP, FD_STEP / 2.0):
+        plus = evolve_dense(params.with_gamma(params.gamma + step), t, initial).amplitudes
+        minus = evolve_dense(params.with_gamma(params.gamma - step), t, initial).amplitudes
+        estimates.append(_qfi_from_derivative(psi, (plus - minus) / (2.0 * step)))
     coarse, fine = estimates
     rich = (4.0 * fine - coarse) / 3.0
     spread = abs(fine - coarse) / max(abs(rich), 1e-30)
@@ -414,15 +384,14 @@ def qfi_finite_difference(
 
 
 def o_covariance_qfi(
-    params: ModelParams, t: float | np.ndarray, initial: DenseState, wrt: str = "gamma"
+    params: ModelParams, t: float | np.ndarray, initial: DenseState
 ) -> float | np.ndarray:
-    """QFI from the covariance of the time-integrated generator, at every time of t.
+    """QFI for the rate from the covariance of the time-integrated generator, at every time of t.
 
-    O = int_0^t exp(-i H_eff s) G exp(i H_eff s) ds with G the derivative
-    of -i H_eff (G = -(1/2) sum_i n_i for the rate, +i sum_i s^z_i for the
-    field).  G and H_eff are block diagonal in the parity sectors.  On the
-    orbit basis of each sector the initial state occupies, one
-    eigendecomposition H_eff = V diag(w) V^-1 gives both the evolved state
+    O = int_0^t exp(-i H_eff s) G exp(i H_eff s) ds with G = -(1/2) sum_i n_i
+    the rate derivative of -i H_eff.  G and H_eff are block diagonal in the
+    parity sectors.  On the orbit basis of each sector the initial state
+    occupies, one eigendecomposition H_eff = V diag(w) V^-1 gives both the evolved state
     V e^{-iwt} V^-1 psi0 and O in closed form, (V^-1 O V)_ab =
     (V^-1 G V)_ab t e^{-i d t/2} sinc(d t/2) with d = w_a - w_b.  O acts on the evolved coefficients
     e^{-i w_b t} c_b; the product is applied to the unevolved c_b as the
@@ -443,14 +412,10 @@ def o_covariance_qfi(
     n = params.n_sites
     if n > MAX_QUADRATURE_SITES:
         raise ValueError(f"covariance oracle capped at {MAX_QUADRATURE_SITES} sites")
-    if initial.n_sites != n:
-        raise ValueError("state size does not match params")
-    gen = _parameter_generator(n, wrt)
     times = np.asarray(t, dtype=float)
 
     sectors = []
-    for orbits, coeffs in _sector_bases(params, initial):
-        block = _orbit_generator(params, orbits)
+    for orbits, coeffs, block in _sector_bases(params, initial):
         if params.gamma == 0:
             # Hermitian: an orthonormal eigenbasis even for degenerate levels
             vals, vecs = np.linalg.eigh(block)
@@ -461,7 +426,7 @@ def o_covariance_qfi(
             if cond > 1e8:
                 raise NumericalFault(f"H_eff eigenbasis too ill-conditioned (cond = {cond:.2e})")
             vecs_inv = np.linalg.inv(vecs)
-        rotated = (vecs_inv * gen[orbits.reps]) @ vecs
+        rotated = (vecs_inv * (-0.5 * _occupations(n)[orbits.reps])) @ vecs
         gap = np.subtract.outer(vals, vals)
         sectors.append((vals, vecs, vecs_inv @ coeffs, rotated, gap))
     slowest = max((float(np.max(vals.imag)) for vals, *_ in sectors), default=0.0)

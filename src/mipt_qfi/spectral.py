@@ -107,7 +107,9 @@ def _branch_eigenvalue(alpha, beta):
 def mode_system(params: ModelParams, k) -> Mode:
     """Block entries and chosen eigenvalue branch at the momenta k in (0, pi).
 
-    The fields of the Mode have the shape of k.
+    The fields of the Mode have the shape of k.  Raises NumericalFault
+    naming gamma and h when eps is not finite: alpha^2 overflows once gamma
+    or |h| nears 1e154.
     """
     ks = np.asarray(k, dtype=float)
     if not np.all((ks > 0.0) & (ks < np.pi)):
@@ -118,7 +120,14 @@ def mode_system(params: ModelParams, k) -> Mode:
     alpha.real = -2.0 * np.cos(ks) - 2.0 * params.h
     alpha.imag = -0.5 * params.gamma
     beta = 2.0 * np.sin(ks)
-    return Mode(ks, alpha, beta, _branch_eigenvalue(alpha, beta))
+    # an overflow leaves a non-finite eps, which the test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = _branch_eigenvalue(alpha, beta)
+    if not np.all(np.isfinite(eps)):
+        raise NumericalFault(
+            f"mode spectrum is not finite at gamma = {params.gamma!r}, h = {params.h!r}"
+        )
+    return Mode(ks, alpha, beta, eps)
 
 
 def critical_gamma(h: float) -> float:
@@ -150,15 +159,8 @@ def critical_mode_system(h: float, gamma: float) -> Mode:
 def spectrum_table(params: ModelParams) -> np.ndarray:
     """(N/2, 3) array of rows (k, E_k, Gamma_k) over the momentum grid.
 
-    Raises NumericalFault when an entry is not finite (e.g. |h| near the
-    largest double, where alpha_k^2 overflows).
+    Raises NumericalFault when the mode spectrum is not finite (`mode_system`).
     """
     ks = momentum_grid(params.n_sites)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mode = mode_system(params, ks)
-    table = np.column_stack([ks, mode.E, mode.Gamma])
-    if not np.all(np.isfinite(table)):
-        raise NumericalFault(
-            f"spectrum is not finite at h = {params.h!r}, gamma = {params.gamma!r}"
-        )
-    return table
+    mode = mode_system(params, ks)
+    return np.column_stack([ks, mode.E, mode.Gamma])

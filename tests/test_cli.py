@@ -414,17 +414,27 @@ EDGE_CONFIGS = {
         "quench_sizes": [4], "gammas": [1e308], "witness_sizes": []}},
     "oracle-huge-field": {"experiment": "oracle-check", "params": {
         "quench_sizes": [4], "hs": [1e308], "witness_sizes": []}},
+    "quench-overflowing-rate": {"experiment": "quench-series", "params": {
+        "n_sites": 8, "h": 0.3, "gamma": 1e200, "times": [0.1, 0.2, 0.3]}},
+    "oracle-overflowing-rate": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "gammas": [1e200], "witness_sizes": []}},
+    "oracle-overflowing-field": {"experiment": "oracle-check", "params": {
+        "quench_sizes": [4], "hs": [1e200], "witness_sizes": []}},
 }
 
 # edge configs that must end in a numerical fault, with what the message
 # names: the frame evolution would take more than MAX_CHUNKS chunks, and
 # used to run without end; the dense H_eff overflows, and used to reach
-# np.linalg.eig with inf entries
+# np.linalg.eig with inf entries; the mode spectrum overflows, and used to
+# warn and then be reported as a round-off floor of nan
 FAULTING_EDGE_CONFIGS = {
     "witness-huge-time": "MAX_CHUNKS",
     "witness-huge-rate": "MAX_CHUNKS",
     "oracle-huge-rate": "H_eff is not finite at gamma = 1e+308, h = 0.3",
     "oracle-huge-field": "H_eff is not finite at gamma = 0.0, h = 1e+308",
+    "quench-overflowing-rate": "mode spectrum is not finite at gamma = 1e+200, h = 0.3",
+    "oracle-overflowing-rate": "mode spectrum is not finite at gamma = 1e+200, h = 0.3",
+    "oracle-overflowing-field": "mode spectrum is not finite at gamma = 0.5, h = 1e+200",
 }
 # edge configs that must pass every check: the dense vacuum's norm used to
 # underflow at t = 1000, where the answer is finite
@@ -445,6 +455,7 @@ class TestNoTraceback:
         )
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
         if name in FAULTING_EDGE_CONFIGS:
             assert proc.returncode == 4 and FAULTING_EDGE_CONFIGS[name] in proc.stderr, proc.stderr
         if name in PASSING_EDGE_CONFIGS:

@@ -68,9 +68,9 @@ def random_state(n, seed):
     return DenseState(amps / np.linalg.norm(amps), n)
 
 
-def generator_diagonal(n, wrt):
-    """G = d(-i H_eff)/d(wrt) on every basis state."""
-    return -0.5 * occupations(n) if wrt == "gamma" else 1j * (2 * occupations(n) - n)
+def generator_diagonal(n):
+    """G = d(-i H_eff)/d gamma = -(1/2) sum_i n_i on every basis state."""
+    return -0.5 * occupations(n)
 
 
 def occupied_blocks(params, initial):
@@ -89,14 +89,14 @@ def unreduced_evolve(params, t, initial):
     return psi / np.linalg.norm(psi)
 
 
-def unreduced_frechet_qfi(params, t, initial, wrt):
+def unreduced_frechet_qfi(params, t, initial):
     """qfi_frechet on whole parity sectors, by scipy's truncated Taylor action.
 
     With X = -i t H_eff on a sector, the action of exp([[X, t G], [0, X]])
     on [0; psi0] is [L(X, t G) psi0; e^X psi0], L the Frechet derivative;
     `expm_multiply` (Al-Mohy and Higham 2011) forms it from sparse products.
     """
-    gen = generator_diagonal(params.n_sites, wrt)
+    gen = generator_diagonal(params.n_sites)
     psi = np.zeros(2**params.n_sites, dtype=complex)
     dpsi = np.zeros_like(psi)
     for mask, block, amps in occupied_blocks(params, initial):
@@ -115,31 +115,29 @@ def derivative_qfi(psi, dpsi):
 
 
 def unreduced_covariance_qfi(params, times, initial):
-    """o_covariance_qfi on whole parity sectors, for both generators: {wrt: F at each time}.
+    """o_covariance_qfi on whole parity sectors: F at each time.
 
-    One eigendecomposition of each sector serves both generators and every time.
+    One eigendecomposition of each sector serves every time.
     """
     n = params.n_sites
+    gen = generator_diagonal(n)
     blocks = []
     for mask, block, amps in occupied_blocks(params, initial):
         vals, vecs = np.linalg.eig(block)
         vecs_inv = np.linalg.inv(vecs)
         blocks.append((mask, vals, vecs, vecs_inv, vecs_inv @ amps))
-    out = {}
-    for wrt in ("gamma", "h"):
-        gen = generator_diagonal(n, wrt)
-        out[wrt] = []
-        for t in times:
-            psi = np.zeros(2**n, dtype=complex)
-            o_psi = np.zeros_like(psi)
-            for mask, vals, vecs, vecs_inv, coeffs in blocks:
-                phase = np.exp(-1j * t * vals)
-                kernel = ed._integral_kernel(np.subtract.outer(vals, vals), phase, t)
-                psi[mask] = vecs @ (phase * coeffs)
-                o_psi[mask] = vecs @ ((((vecs_inv * gen[mask]) @ vecs) * kernel) @ coeffs)
-            norm = np.linalg.norm(psi)
-            psi, o_psi = psi / norm, o_psi / norm
-            out[wrt].append(4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2))
+    out = []
+    for t in times:
+        psi = np.zeros(2**n, dtype=complex)
+        o_psi = np.zeros_like(psi)
+        for mask, vals, vecs, vecs_inv, coeffs in blocks:
+            phase = np.exp(-1j * t * vals)
+            kernel = ed._integral_kernel(np.subtract.outer(vals, vals), phase, t)
+            psi[mask] = vecs @ (phase * coeffs)
+            o_psi[mask] = vecs @ ((((vecs_inv * gen[mask]) @ vecs) * kernel) @ coeffs)
+        norm = np.linalg.norm(psi)
+        psi, o_psi = psi / norm, o_psi / norm
+        out.append(4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2))
     return out
 
 
@@ -153,14 +151,14 @@ def uniform_state(n):
     return DenseState(np.full(2**n, 2.0 ** (-n / 2), dtype=complex), n)
 
 
-def simpson_sneddon_qfi(params, t, initial, wrt):
+def simpson_sneddon_qfi(params, t, initial):
     """4 Var(O) with O = int_0^t e^{-i H_eff s} G e^{i H_eff s} ds by adaptive Simpson.
 
     Per parity sector in the eigenbasis of H_eff, by `adaptive_simpson`
     from 16 panels, up to 12 doublings, to 1e-10 of the largest entry.
     """
     n = params.n_sites
-    gen = -0.5 * occupations(n) if wrt == "gamma" else 1j * (2 * occupations(n) - n)
+    gen = generator_diagonal(n)
     h_eff = build_h_eff(params)
     psi = evolve_dense(params, t, initial).amplitudes
     o_psi = np.zeros_like(psi)
@@ -241,25 +239,28 @@ class TestQfiOracles:
                     f_cov = o_covariance_qfi(p, t, gs)
                     assert f_fd == pytest.approx(f_cov, rel=1e-6, abs=1e-9)
 
-    def test_stable_under_delta_halving(self):
+    def test_stable_under_delta_halving(self, monkeypatch):
         p = ModelParams(4, 0.3, 0.5)
         gs, _ = dense_ground_state(p)
-        a = qfi_finite_difference(p, 1.0, gs, delta=1e-5)
-        b = qfi_finite_difference(p, 1.0, gs, delta=5e-6)
-        assert a == pytest.approx(b, rel=1e-6)
+        values = []
+        for step in (1e-5, 5e-6):
+            monkeypatch.setattr(ed, "FD_STEP", step)
+            values.append(qfi_finite_difference(p, 1.0, gs))
+        assert values[0] == pytest.approx(values[1], rel=1e-6)
 
-    def test_hermitian_field_estimation_from_eigenbasis(self):
-        # at gamma = 0 both routes must match the closed eigenbasis form
-        # O_mn = dH_mn (1 - e^{-i (E_m - E_n) t}) / (E_m - E_n) (diag: t)
-        # for the generator of field translations
+    def test_hermitian_rate_estimation_from_eigenbasis(self):
+        # at gamma = 0, the smallest rate, both exact routes must match the
+        # closed eigenbasis form
+        # O_mn = G_mn (1 - e^{-i (E_m - E_n) t}) / (i (E_m - E_n)) (diag: t)
+        # for the rate generator G = -(1/2) sum_i n_i; finite differences
+        # cannot step below gamma = 0
         p = ModelParams(4, 0.7, 0.0)
         t = 1.3
         initial = dense_vacuum(4)
         h = build_hamiltonian(p)
         vals, vecs = np.linalg.eigh(h)
-        sz_total = np.diag(2.0 * occupations(4) - 4.0)
 
-        gen = vecs.conj().T @ (1j * sz_total) @ vecs
+        gen = vecs.conj().T @ np.diag(generator_diagonal(4)) @ vecs
         diff = np.subtract.outer(vals, vals)
         with np.errstate(divide="ignore", invalid="ignore"):
             phase = np.where(
@@ -272,31 +273,32 @@ class TestQfiOracles:
         o_psi = o_mat @ psi
         expected = 4.0 * (np.vdot(o_psi, o_psi).real - abs(np.vdot(psi, o_psi)) ** 2)
 
-        assert o_covariance_qfi(p, t, initial, wrt="h") == pytest.approx(expected, rel=1e-8)
-        assert qfi_finite_difference(p, t, initial, wrt="h") == pytest.approx(expected, rel=1e-6)
+        assert expected > 0.0
+        assert o_covariance_qfi(p, t, initial) == pytest.approx(expected, rel=1e-8)
+        assert qfi_frechet(p, t, initial) == pytest.approx(expected, rel=1e-8)
 
-    def test_zero_step_raises_instead_of_nan(self):
+    def test_zero_step_raises_instead_of_nan(self, monkeypatch):
         from mipt_qfi.errors import NumericalFault
 
         p = ModelParams(4, 0.3, 0.5)
         gs, _ = dense_ground_state(p)
+        monkeypatch.setattr(ed, "FD_STEP", 0.0)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalFault, match="did not converge"):
-            qfi_finite_difference(p, 1.0, gs, delta=0.0)
+            qfi_finite_difference(p, 1.0, gs)
 
     def test_quadrature_size_cap(self):
         p = ModelParams(12, 0.3, 1.0)
         with pytest.raises(ValueError):
             o_covariance_qfi(p, 1.0, dense_vacuum(12))
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
     @pytest.mark.parametrize("start", ["vacuum", "ground"])
     @pytest.mark.parametrize("n", [4, 6])
-    def test_closed_form_matches_simpson_reference(self, n, start, wrt):
+    def test_closed_form_matches_simpson_reference(self, n, start):
         p = ModelParams(n, 0.3, 2.0)
         initial = dense_vacuum(n) if start == "vacuum" else dense_ground_state(p)[0]
         for t in (0.5, 1.5):
-            expected = simpson_sneddon_qfi(p, t, initial, wrt)
-            assert o_covariance_qfi(p, t, initial, wrt=wrt) == pytest.approx(expected, rel=1e-9)
+            expected = simpson_sneddon_qfi(p, t, initial)
+            assert o_covariance_qfi(p, t, initial) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("gamma,t", [(2.0, 50.0), (4.0, 20.0)])
     def test_long_times_match_finite_difference(self, gamma, t):
@@ -327,39 +329,38 @@ class TestQfiOracles:
 
 
 class TestQfiFrechet:
-    @pytest.mark.parametrize("wrt,rel", [("gamma", 1e-12), ("h", 1e-11)])
-    def test_matches_covariance_on_the_criterion_5_grid(self, wrt, rel):
+    def test_matches_covariance_on_the_criterion_5_grid(self):
         times = (0.3, 1.0, 3.0)
         for n in (4, 6, 8):
             for h in (0.1, 0.3, 0.6):
                 for gamma in (0.5, 2.0, 4.5):
                     p = ModelParams(n, h, gamma)
                     gs, _ = dense_ground_state(p)
-                    covariance = o_covariance_qfi(p, np.array(times), gs, wrt=wrt)
+                    covariance = o_covariance_qfi(p, np.array(times), gs)
                     for t, expected in zip(times, covariance):
-                        assert qfi_frechet(p, t, gs, wrt=wrt) == pytest.approx(expected, rel=rel)
+                        assert qfi_frechet(p, t, gs) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
     @pytest.mark.parametrize("n", [4, 6])
-    def test_whole_sectors_match_scipy_frechet(self, n, wrt):
+    def test_whole_sectors_match_scipy_frechet(self, n):
         # a state without symmetry takes both whole sectors; the reference
         # takes (e^X, L(X, t G)) of each from scipy (N = 8 whole sectors are
         # checked against the unreduced reference in TestOrbitReduction)
         p, t = ModelParams(n, 0.3, 2.0), 1.5
         initial = random_state(n, 3)
-        gen = generator_diagonal(n, wrt)
+        gen = generator_diagonal(n)
         psi = np.zeros(2**n, dtype=complex)
         dpsi = np.zeros_like(psi)
         for mask, block, amps in occupied_blocks(p, initial):
             exp_a, frechet = sla.expm_frechet(-1j * t * block, np.diag(t * gen[mask]))
             psi[mask], dpsi[mask] = exp_a @ amps, frechet @ amps
         expected = derivative_qfi(psi, dpsi)
-        assert qfi_frechet(p, t, initial, wrt=wrt) == pytest.approx(expected, rel=1e-12)
+        assert qfi_frechet(p, t, initial) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
-    def test_time_zero_is_exactly_zero(self, wrt):
+    @pytest.mark.parametrize("start", ["orbits", "sectors"])
+    def test_time_zero_is_exactly_zero(self, start):
         p = ModelParams(6, 0.3, 2.0)
-        assert qfi_frechet(p, 0.0, dense_ground_state(p)[0], wrt=wrt) == 0.0
+        initial = dense_ground_state(p)[0] if start == "orbits" else random_state(6, 3)
+        assert qfi_frechet(p, 0.0, initial) == 0.0
 
     def test_vacuum_start_never_touches_the_odd_sector(self, monkeypatch):
         blocks = []
@@ -392,15 +393,14 @@ class TestQfiFrechet:
             f_fd = qfi_finite_difference(p, 1.0, initial)
             assert qfi_frechet(p, 1.0, initial) == pytest.approx(f_fd, rel=1e-8)
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
-    def test_degenerate_hermitian_point_without_orbit_symmetry(self, wrt):
+    def test_degenerate_hermitian_point_without_orbit_symmetry(self):
         # h = gamma = 0: eig returned a singular eigenbasis of the whole
         # degenerate sector (cond 1.47e17); the Hermitian block takes eigh
         p = ModelParams(4, 0.0, 0.0)
         initial = random_state(4, 11)
         for t in (0.5, 1.0, 3.0):
-            expected = qfi_frechet(p, t, initial, wrt=wrt)
-            assert o_covariance_qfi(p, t, initial, wrt=wrt) == pytest.approx(expected, rel=1e-11)
+            expected = qfi_frechet(p, t, initial)
+            assert o_covariance_qfi(p, t, initial) == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("n,initial", [(4, dense_vacuum(4)), (8, random_state(8, 3))])
     def test_huge_time_raises_naming_it(self, n, initial):
@@ -424,16 +424,15 @@ class TestLongTimes:
         dense = 4.0 * sx_variance_dense(evolve_dense(p, 1000.0, dense_vacuum(n)))
         assert dense == pytest.approx(witness_qfi(evolve(init_state(n), p, 1000.0, 1)), rel=1e-12)
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
     @pytest.mark.parametrize("route", [qfi_frechet, o_covariance_qfi])
-    def test_qfi_keeps_its_converged_value(self, route, wrt):
+    def test_qfi_keeps_its_converged_value(self, route):
         # the state has converged by t = 50, which takes no shift; at
         # t = 1000 both routes lose about 7 digits to the cancellation of
         # the t-growing phase derivative in F
         p = ModelParams(4, 0.3, 2.0)
         gs, _ = dense_ground_state(p)
         assert not ed._shifts(p, 50.0) and ed._shifts(p, 1000.0)
-        assert route(p, 1000.0, gs, wrt=wrt) == pytest.approx(route(p, 50.0, gs, wrt=wrt), rel=1e-7)
+        assert route(p, 1000.0, gs) == pytest.approx(route(p, 50.0, gs), rel=1e-7)
 
     @pytest.mark.parametrize("initial", [dense_vacuum(6), random_state(6, 5)], ids=["orbits", "sectors"])
     def test_a_shift_at_an_ordinary_time_changes_no_route(self, monkeypatch, initial):
@@ -454,14 +453,14 @@ class TestLongTimes:
 class TestCovarianceTimeArray:
     TIMES = [0.0, 0.5, 1.5, 4.0]
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    @pytest.mark.parametrize("start", ["orbits", "sectors"])
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_array_equals_scalar_calls(self, n, wrt):
+    def test_array_equals_scalar_calls(self, n, start):
         p = ModelParams(n, 0.3, 2.0)
-        gs, _ = dense_ground_state(p)
-        scalars = [o_covariance_qfi(p, t, gs, wrt=wrt) for t in self.TIMES]
+        initial = dense_ground_state(p)[0] if start == "orbits" else random_state(n, 7)
+        scalars = [o_covariance_qfi(p, t, initial) for t in self.TIMES]
         assert all(type(f) is float for f in scalars)
-        got = o_covariance_qfi(p, np.array(self.TIMES).reshape(2, 2), gs, wrt=wrt)
+        got = o_covariance_qfi(p, np.array(self.TIMES).reshape(2, 2), initial)
         assert got.shape == (2, 2)
         assert np.array_equal(got.ravel(), scalars)
 
@@ -547,12 +546,10 @@ class TestOrbitReduction:
         got = evolve_dense(p, 1.5, initial).amplitudes
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         times = (0.5, 1.5)
-        covariance = unreduced_covariance_qfi(p, times, initial)
-        for wrt in ("gamma", "h"):
-            got = o_covariance_qfi(p, np.array(times), initial, wrt=wrt)
-            np.testing.assert_allclose(got, covariance[wrt], rtol=1e-12, atol=0)
-            f_exact = qfi_frechet(p, 1.5, initial, wrt=wrt)
-            assert f_exact == pytest.approx(unreduced_frechet_qfi(p, 1.5, initial, wrt), rel=1e-12)
+        got = o_covariance_qfi(p, np.array(times), initial)
+        np.testing.assert_allclose(got, unreduced_covariance_qfi(p, times, initial), rtol=1e-12, atol=0)
+        f_exact = qfi_frechet(p, 1.5, initial)
+        assert f_exact == pytest.approx(unreduced_frechet_qfi(p, 1.5, initial), rel=1e-12)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_periodic_ground_state_is_exactly_orbit_constant(self, n):
@@ -638,16 +635,26 @@ class TestGroundState:
         np.testing.assert_array_equal(state.amplitudes, vecs[:, 0])
 
 
+# every dense route at t = 0.5, by name
+ROUTES = {
+    "evolve_dense": lambda p, psi0: evolve_dense(p, 0.5, psi0),
+    "qfi_frechet": lambda p, psi0: qfi_frechet(p, 0.5, psi0),
+    "o_covariance_qfi": lambda p, psi0: o_covariance_qfi(p, 0.5, psi0),
+    "qfi_finite_difference": lambda p, psi0: qfi_finite_difference(p, 0.5, psi0),
+}
+
+
+class TestStateSize:
+    # every route takes its sectors from one place, which checks the size
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_route_rejects_a_state_of_another_size(self, route):
+        with pytest.raises(ValueError, match="state size does not match params"):
+            ROUTES[route](ModelParams(4, 0.3, 2.0), dense_vacuum(6))
+
+
 class TestNonFiniteGenerator:
     # gamma or |h| near the largest double overflows the diagonal of H_eff;
     # every route builds its blocks in one place, which names both
-    ROUTES = {
-        "evolve_dense": lambda p, psi0: evolve_dense(p, 0.5, psi0),
-        "qfi_frechet": lambda p, psi0: qfi_frechet(p, 0.5, psi0),
-        "o_covariance_qfi": lambda p, psi0: o_covariance_qfi(p, 0.5, psi0),
-        "qfi_finite_difference": lambda p, psi0: qfi_finite_difference(p, 0.5, psi0),
-    }
-
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("h,gamma", [(0.3, 1e308), (1e308, 0.5)], ids=["rate", "field"])
     def test_route_names_the_overflowing_parameter(self, route, h, gamma):
@@ -656,7 +663,7 @@ class TestNonFiniteGenerator:
             warnings.simplefilter("error")
             message = f"H_eff is not finite at gamma = {gamma!r}, h = {h!r}"
             with pytest.raises(NumericalFault, match=re.escape(message)):
-                self.ROUTES[route](p, dense_vacuum(4))
+                ROUTES[route](p, dense_vacuum(4))
 
     def test_ground_state_names_the_overflowing_field(self):
         with warnings.catch_warnings():

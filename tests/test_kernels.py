@@ -392,16 +392,16 @@ class TestExpmFrechetBlock:
         full = _kernels.expm(np.block([[a, np.diag(e)], [np.zeros_like(a), a]]))
         return full[:d, :d], full[:d, d:], full[d:, :d], full[d:, d:]
 
-    @pytest.mark.parametrize("wrt", ["gamma", "h"])
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
     @pytest.mark.parametrize("n", [4, 6])
-    def test_sector_block_matches_scipy(self, n, wrt):
-        # X = -i t H_eff and e = t G on the even sector, across scalings of
-        # zero to six squarings
+    def test_sector_block_matches_scipy(self, n, parity):
+        # X = -i t H_eff and e = t G, G = -(1/2) sum_i n_i the rate generator,
+        # on either parity sector, across scalings of zero to six squarings
         p = ModelParams(n, 0.3, 2.0)
-        even, _ = ed._parity_sectors(n)
+        rows = ed._parity_sectors(n)[parity]
         for t in (0.05, 1.5, 12.0):
-            a = -1j * t * ed._generator(p, even)
-            e = t * ed._parameter_generator(n, wrt)[even]
+            a = -1j * t * ed._generator(p, rows)
+            e = t * (-0.5 * ed._occupations(n)[rows])
             exp_a, frechet = sla.expm_frechet(a, np.diag(e))
             top, derivative, corner, bottom = self.parts(a, e)
             assert rel_dev(top, exp_a) < 1e-13

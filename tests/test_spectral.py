@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,20 @@ class TestModeSystem:
         eigs = np.linalg.eigvals(m)
         chosen = min(eigs, key=lambda e: (e.imag, e.real))
         assert mode.eps == pytest.approx(chosen, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "h,gamma", [(0.3, 1e200), (1e200, 0.5), (1e308, 0.0)], ids=["rate", "field", "largest-field"]
+    )
+    def test_overflowing_spectrum_names_both_parameters(self, h, gamma):
+        # alpha^2 overflows; eps used to come back non-finite with a
+        # RuntimeWarning, and the quench QFI then reported it as round-off
+        p = ModelParams(8, h, gamma)
+        message = re.escape(f"mode spectrum is not finite at gamma = {gamma!r}, h = {h!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (momentum_grid(8), np.pi / 4):
+                with pytest.raises(NumericalFault, match=message):
+                    mode_system(p, k)
 
     def test_rejects_momentum_outside_domain(self):
         p = ModelParams(8, 0.3, 1.0)

@@ -12,6 +12,17 @@ there (the classes of `harness.TYPED_ERRORS`, `_kernels.backend_name`,
 ...), plus `GaussianState.orthonormality_defect`, the frame's health
 figure for the run diagnostics of ROADMAP item 6.  Once the benchmark
 stops naming a pinned definition, this test flags it.
+
+Likewise every defaulted parameter of a package function is set by some
+call in `src/mipt_qfi`, by position or by keyword, outside the function's
+own body: a default that no caller overrides is a knob that does nothing.
+The exceptions, in `UNSET_DEFAULTS`:
+- `_kernels.xx_table.steps`, the branch counts that the run diagnostics
+  of ROADMAP item 6 will record
+- `experiments.run_experiment.threads`, which the benchmark's harness
+  passes until ROADMAP item 1 drops it
+- `cli._register._cmd._name`, which binds each click command's experiment
+  name when the closure is made
 """
 
 import ast
@@ -22,6 +33,11 @@ SRC = ROOT / "src" / "mipt_qfi"
 BENCH = ROOT / "perfbench"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 KEPT = {"GaussianState.orthonormality_defect"}
+UNSET_DEFAULTS = {
+    "_kernels.xx_table.steps",
+    "experiments.run_experiment.threads",
+    "cli._register._cmd._name",
+}
 
 
 def parse(path):
@@ -96,3 +112,75 @@ def test_benchmark_pins_are_found():
 
 def test_every_src_definition_is_reached_from_src():
     assert unreached() == []
+
+
+def defaulted(node):
+    """(position, name) of each defaulted parameter; position is None for a keyword-only one.
+
+    The position counts from the first argument a caller writes, so a
+    method's `self` or `cls` is left out.
+    """
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    for i in range(len(positional) - len(args.defaults), len(positional)):
+        yield i - first, positional[i].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def calls(tree):
+    """(callee name, node) of every call in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
+def sets(call, position, name):
+    """Whether the call passes the parameter; a * or ** argument may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unset_defaults():
+    """`module.qualname.param` of each defaulted parameter that no package call sets.
+
+    A dunder method is left out: Python calls it by protocol.
+    """
+    trees = {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
+    found = {module: list(calls(tree)) for module, tree in trees.items()}
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if isinstance(node, ast.ClassDef) or dunder:
+                continue
+            first, last = node.lineno, node.end_lineno
+            for position, name in defaulted(node):
+                if not any(
+                    callee == node.name
+                    and not (other == module and first <= call.lineno <= last)
+                    and sets(call, position, name)
+                    for other, pairs in found.items()
+                    for callee, call in pairs
+                ):
+                    out.append(f"{module}.{qualname}.{name}")
+    return out
+
+
+def test_every_defaulted_parameter_is_set_from_src():
+    assert sorted(set(unset_defaults()) - UNSET_DEFAULTS) == []
+
+
+def test_unset_default_exemptions_are_still_unset():
+    # a scan that finds nothing would pass the gate; an exemption whose
+    # parameter a caller now sets, or that is gone, is stale
+    assert UNSET_DEFAULTS <= set(unset_defaults())
