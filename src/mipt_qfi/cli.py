@@ -53,8 +53,8 @@ def _register(name: str) -> None:
     @main.command(name=name)
     @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
     @click.option("--out", default=None, type=click.Path(), help="output directory")
-    def _cmd(config_path: str, out: str | None, _name: str = name) -> None:
-        _execute(_name, config_path, out)
+    def _cmd(config_path: str, out: str | None) -> None:
+        _execute(name, config_path, out)
 
     _cmd.__doc__ = f"Run the {name} experiment."
 

@@ -34,10 +34,12 @@ __all__ = ["EXPERIMENTS", "PARAMS", "load_config", "validate_config", "run_exper
 
 def load_config(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
@@ -427,7 +429,10 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
     checked = validate_config(config)
     exp = checked["experiment"]
     out = Path(out_dir if out_dir is not None else checked["output_path"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
 
     start = time.perf_counter()
     header, rows, fits, checks = _RUNNERS[exp](checked["params"])

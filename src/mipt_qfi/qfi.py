@@ -46,10 +46,11 @@ import numpy as np
 
 from ._entire import csinc, phi3
 from .errors import NumericalFault
-from .quench import _ground_pair, evolve_amplitudes, ising_ground_amplitudes
+from .quench import evolve_amplitudes, ising_ground_amplitudes
 from .spectral import (
     Mode,
     ModelParams,
+    block_eigenvector,
     critical_gamma,
     critical_mode_system,
     mode_system,
@@ -128,14 +129,13 @@ def qfi_quench(params: ModelParams, t: float) -> float:
     is sum_k (2 |off_k| n_k + n_k^2) with n_k = eps_mach * max(|A_k|,
     |B_k|, |C_k|).
     """
-    if params.boundary != "periodic":
-        raise ValueError("quench QFI is defined for the periodic chain")
-    amps0 = ising_ground_amplitudes(params)
+    mode = mode_system(params, momentum_grid(params.n_sites))
+    u0, v0 = ising_ground_amplitudes(mode)
     # past the floor the entries overflow; the check below decides, quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = evolve_amplitudes(amps0, params, t)
-        entries = _closed_form_entries(mode_system(params, amps.k), t)
-        off = np.abs(_off_diagonal(entries, amps.u, amps.v))
+        u, v = evolve_amplitudes(mode, u0, v0, t)
+        entries = _closed_form_entries(mode, t)
+        off = np.abs(_off_diagonal(entries, u, v))
         total = float(np.sum(off**2))
         noise = np.finfo(float).eps * np.max(np.abs(entries), axis=0)
         floor = float(np.sum(2.0 * off * noise + noise**2))
@@ -230,16 +230,13 @@ def mode_qfi_coefficients(params: ModelParams) -> np.ndarray:
         raise NumericalFault(
             f"rate gamma = {params.gamma!r} is too large: eps^3 overflows in the tilde entries (h = {params.h!r})"
         ) from None
-    # dominant eigenvector of M_k, for the larger-Im eigenvalue -eps; its
-    # first entry is real and positive since beta > 0
-    norm = np.sqrt(beta * beta + np.abs(-eps - alpha) ** 2)
-    wu, wv = beta / norm, (-eps - alpha) / norm
-    # the growing term annihilates w, so the limit is set by the constant part
+    # the growing term annihilates the dominant eigenvector of M_k, for the
+    # larger-Im eigenvalue -eps, so the limit is set by the constant part
     const = 0.5j * beta / (alpha**2 + beta**2)
-    f_limit = np.abs(_off_diagonal((0.0, const, -const), wu, wv)) ** 2
+    f_limit = np.abs(_off_diagonal((0.0, const, -const), *block_eigenvector(alpha, beta, -eps))) ** 2
     # real-eigenvalue modes follow a t^2 law set by the linear part of R
     # on the quench initial state
-    f_t2 = np.abs(_off_diagonal(_linear_entries(mode), *_ground_pair(mode))) ** 2
+    f_t2 = np.abs(_off_diagonal(_linear_entries(mode), *ising_ground_amplitudes(mode))) ** 2
     return np.where(degenerate, f_t2, f_limit)
 
 
@@ -272,7 +269,7 @@ def critical_mode_coefficient(h: float, gamma: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         mode = critical_mode_system(h, gamma)
         entries = _linear_entries(mode) if gamma < gc else _tilde_entries(mode)
-        value = float(abs(_off_diagonal(entries, *_ground_pair(mode))) ** 2)
+        value = float(abs(_off_diagonal(entries, *ising_ground_amplitudes(mode))) ** 2)
     if not np.isfinite(value):
         raise NumericalFault(
             f"critical-mode coefficient is not finite at h = {h!r}, gamma = {gamma!r}"

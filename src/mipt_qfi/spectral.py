@@ -107,10 +107,13 @@ def _branch_eigenvalue(alpha, beta):
 def mode_system(params: ModelParams, k) -> Mode:
     """Block entries and chosen eigenvalue branch at the momenta k in (0, pi).
 
-    The fields of the Mode have the shape of k.  Raises NumericalFault
-    naming gamma and h when eps is not finite: alpha^2 overflows once gamma
-    or |h| nears 1e154.
+    The fields of the Mode have the shape of k.  Raises ValueError for an
+    open chain, which has no momentum blocks, and NumericalFault naming
+    gamma and h when eps is not finite: alpha^2 overflows once gamma or |h|
+    nears 1e154.
     """
+    if params.boundary != PERIODIC:
+        raise ValueError(f"momentum modes need the periodic chain, got boundary {params.boundary!r}")
     ks = np.asarray(k, dtype=float)
     if not np.all((ks > 0.0) & (ks < np.pi)):
         raise ValueError(f"momentum must lie in (0, pi), got {k}")
@@ -156,10 +159,21 @@ def critical_mode_system(h: float, gamma: float) -> Mode:
     return Mode(np.array(critical_momentum(h)), alpha, beta, _branch_eigenvalue(alpha, beta))
 
 
+def block_eigenvector(alpha, beta, lam):
+    """Normalized eigenvector (beta, lam - alpha) of M_k for its eigenvalue lam.
+
+    Its first entry is real and positive, since beta > 0 for k in (0, pi).
+    """
+    v = lam - alpha
+    norm = np.sqrt(beta * beta + np.abs(v) ** 2)
+    return beta / norm, v / norm
+
+
 def spectrum_table(params: ModelParams) -> np.ndarray:
     """(N/2, 3) array of rows (k, E_k, Gamma_k) over the momentum grid.
 
-    Raises NumericalFault when the mode spectrum is not finite (`mode_system`).
+    Raises, from `mode_system`, ValueError for an open chain and
+    NumericalFault when the mode spectrum is not finite.
     """
     ks = momentum_grid(params.n_sites)
     mode = mode_system(params, ks)

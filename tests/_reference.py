@@ -76,19 +76,19 @@ def xx_correlator_dense(state, i, j):
     return complex(np.vdot(psi, psi[np.arange(2**n) ^ flip]))
 
 
-def mode_occupations(amps):
+def mode_occupations(u, v):
     """Monitored occupation <n_k> = |u_k|^2 / (|u_k|^2 + |v_k|^2) per mode.
 
     Under the ODE convention i (u, v)' = M_k (u, v) the u component is the
     amplitude of the occupied pair: in the h -> +infinity limit the ground
     state has |u| -> 1 and every monitored number is 1 (field-aligned).
     """
-    nu = np.abs(amps.u) ** 2
-    nv = np.abs(amps.v) ** 2
+    nu = np.abs(u) ** 2
+    nv = np.abs(v) ** 2
     return nu / (nu + nv)
 
 
-def site_occupation(amps):
-    """Translation-invariant <n_i> = (2/N) sum_k <n_k> over positive modes."""
-    n_sites = 2 * amps.k.size
-    return float(2.0 / n_sites * np.sum(mode_occupations(amps)))
+def site_occupation(u, v):
+    """Translation-invariant <n_i> = (2/N) sum_k <n_k> over the N/2 positive modes."""
+    n_sites = 2 * np.size(u)
+    return float(2.0 / n_sites * np.sum(mode_occupations(u, v)))

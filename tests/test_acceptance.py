@@ -16,7 +16,7 @@ from mipt_qfi.experiments import run_experiment
 from mipt_qfi.qfi import fbar, qfi_quench, r_matrix
 from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 from mipt_qfi.realspace import _kernel, evolve, init_state, witness_qfi
-from mipt_qfi.spectral import ModelParams, critical_gamma, mode_system
+from mipt_qfi.spectral import ModelParams, critical_gamma, mode_system, momentum_grid
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -244,11 +244,12 @@ class TestCriterion7StructuralInvariants:
 
     def test_norm_conservation_at_zero_rate(self):
         p = ModelParams(32, 0.6, 0.0)
-        amps = ising_ground_amplitudes(p)
+        mode = mode_system(p, momentum_grid(p.n_sites))
+        u0, v0 = ising_ground_amplitudes(mode)
         worst = 0.0
         for t in np.linspace(0.0, 50.0, 11):
-            out = evolve_amplitudes(amps, p, float(t))
-            norms = np.abs(out.u) ** 2 + np.abs(out.v) ** 2
+            u, v = evolve_amplitudes(mode, u0, v0, float(t))
+            norms = np.abs(u) ** 2 + np.abs(v) ** 2
             worst = max(worst, float(np.max(np.abs(norms - 1.0))))
         report(7, worst <= 1e-12, f"(e) gamma=0 norm conservation: {worst:.2e} <= 1e-12")
         assert worst <= 1e-12

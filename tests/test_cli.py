@@ -239,6 +239,33 @@ class TestCliContract:
         )
         assert result.exit_code == 2
 
+    def test_config_that_is_no_utf8_is_a_config_error(self, tmp_path):
+        # a UTF-16 byte order mark used to end in a UnicodeDecodeError traceback
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(SPECTRUM).encode("utf-16-le"))
+        result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and "not UTF-8" in result.output
+
+    def test_out_dir_that_cannot_be_made_is_a_config_error(self, tmp_path):
+        # a regular file in the path used to end in a NotADirectoryError traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path / "c.json", SPECTRUM)
+        out = str(blocker / "x")
+        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", out])
+        assert result.exit_code == 2, result.output
+        assert f"cannot create output directory {out}" in result.output
+
+    def test_output_path_that_cannot_be_made_is_a_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "x")
+        cfg = write_config(tmp_path / "c.json", {**SPECTRUM, "output_path": out})
+        result = CliRunner().invoke(main, ["spectrum", "--config", cfg])
+        assert result.exit_code == 2, result.output
+        assert f"cannot create output directory {out}" in result.output
+
     def test_numerical_fault_exit_code(self, tmp_path, monkeypatch):
         from mipt_qfi import cli
         from mipt_qfi.errors import NumericalFault

@@ -608,13 +608,15 @@ class TestSxObservables:
 class TestCrossModuleOccupations:
     def test_periodic_occupation_profile_matches_mode_pipeline(self):
         from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
+        from mipt_qfi.spectral import mode_system, momentum_grid
 
         p = ModelParams(6, 0.3, 1.0)
-        amps = evolve_amplitudes(ising_ground_amplitudes(p), p, 2.0)
+        mode = mode_system(p, momentum_grid(6))
+        u, v = evolve_amplitudes(mode, *ising_ground_amplitudes(mode), 2.0)
         gs, _ = dense_ground_state(p)
         profile = occupation_profile(evolve_dense(p, 2.0, gs))
         # translation invariance: flat profile equal to the mode-side value
-        np.testing.assert_allclose(profile, site_occupation(amps), atol=1e-10)
+        np.testing.assert_allclose(profile, site_occupation(u, v), atol=1e-10)
 
 
 class TestGroundState:

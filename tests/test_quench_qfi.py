@@ -22,6 +22,7 @@ from mipt_qfi.spectral import (
     critical_mode_system,
     mode_system,
     momentum_grid,
+    spectrum_table,
 )
 from mipt_qfi.quench import evolve_amplitudes, ising_ground_amplitudes
 
@@ -101,6 +102,14 @@ class TestQuenchQfi:
         with pytest.raises(ValueError):
             qfi_quench(ModelParams(8, 0.3, 1.0, "open"), 1.0)
 
+    @pytest.mark.parametrize("pair", [np.zeros(2), np.full(2, np.nan)], ids=["zero", "nan"])
+    def test_collapsed_pair_is_a_numerical_fault(self, monkeypatch, pair):
+        # the covariance divides by the pair's norm, so a collapsed pair
+        # leaves a non-finite F
+        monkeypatch.setattr(qfi, "ising_ground_amplitudes", lambda mode: (pair, pair))
+        with pytest.raises(NumericalFault, match="round-off"):
+            qfi_quench(ModelParams(4, 0.3, 1.0), 0.7)
+
     @pytest.mark.parametrize("n", [6, 10])
     @pytest.mark.parametrize("h", [-0.5, 0.0, 0.3, 0.6])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 4.0])
@@ -108,11 +117,12 @@ class TestQuenchQfi:
         # h = 0, gamma = 4 puts the exceptional point eps = 0 on k = pi/2
         p = ModelParams(n, h, gamma)
         for t in (0.7, 2.5):
-            amps = evolve_amplitudes(ising_ground_amplitudes(p), p, t)
+            mode = mode_system(p, momentum_grid(n))
+            u, v = evolve_amplitudes(mode, *ising_ground_amplitudes(mode), t)
             expected = 0.0
-            for i, k in enumerate(amps.k):
+            for i, k in enumerate(mode.k):
                 r = r_matrix(mode_system(p, float(k)), t)
-                w = np.array([amps.u[i], amps.v[i]])
+                w = np.array([u[i], v[i]])
                 w = w / np.linalg.norm(w)
                 rw = r @ w
                 expected += abs(-w[1] * rw[0] + w[0] * rw[1]) ** 2
@@ -256,6 +266,16 @@ class TestFbar:
         with pytest.raises(NumericalFault, match=message):
             mode_qfi_coefficients(p)
 
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_just_below_the_grid_exceptional_point_is_right_or_refused(self, n):
+        # the 50-digit plateau is 4.00000001862e16; without the tilde
+        # factorization check the float evaluation returned 1.25e7
+        try:
+            value = fbar(ModelParams(n, 0.0, 4.0 - 1e-8))
+        except NumericalFault:
+            return
+        assert value == pytest.approx(4.00000001862e16, rel=1e-6)
+
     def test_exceptional_point_between_grid_momenta_stays_finite(self):
         assert fbar(ModelParams(8, 0.0, 4.0)) == pytest.approx(0.10597, rel=1e-4)
 
@@ -307,6 +327,24 @@ class TestFbar:
         a = fbar(ModelParams(64, h, gamma)) / 64
         b = fbar(ModelParams(128, h, gamma)) / 128
         assert abs(a - b) / b < 0.02
+
+
+class TestPeriodicRule:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p: mode_system(p, momentum_grid(p.n_sites)),
+            spectrum_table,
+            mode_qfi_coefficients,
+            fbar,
+        ],
+        ids=["mode_system", "spectrum_table", "mode_qfi_coefficients", "fbar"],
+    )
+    def test_open_chain_is_refused(self, entry):
+        # an open chain has no momentum blocks; the periodic answer used to
+        # come back for it
+        with pytest.raises(ValueError, match="periodic chain"):
+            entry(ModelParams(8, 0.3, 1.0, "open"))
 
 
 class TestCriticalModeCoefficient:

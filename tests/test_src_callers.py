@@ -21,8 +21,6 @@ The exceptions, in `UNSET_DEFAULTS`:
   of ROADMAP item 6 will record
 - `experiments.run_experiment.threads`, which the benchmark's harness
   passes until ROADMAP item 1 drops it
-- `cli._register._cmd._name`, which binds each click command's experiment
-  name when the closure is made
 """
 
 import ast
@@ -36,7 +34,6 @@ KEPT = {"GaussianState.orthonormality_defect"}
 UNSET_DEFAULTS = {
     "_kernels.xx_table.steps",
     "experiments.run_experiment.threads",
-    "cli._register._cmd._name",
 }
 
 
