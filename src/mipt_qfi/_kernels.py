@@ -10,8 +10,8 @@ corner holds the Frechet derivative.
 
 `pfaffian` is the skew Parlett-Reid elimination with partial pivoting
 (Wimmer, ACM TOMS 38, 30 (2012)), the package's one Pfaffian.  It is the
-public `mipt_qfi.pfaffian`, the fallback of the string table, and the
-reference the table is tested against.
+fallback of the string table and the reference the table is tested
+against.
 
 `xx_table` gives every string correlator <x_i x_j> of a Gaussian state
 from its real antisymmetric Majorana matrix Gamma = Im(M M+) (see

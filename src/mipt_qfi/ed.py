@@ -27,13 +27,15 @@ chain, commute with H_eff and with G.  A sector whose amplitudes are
 exactly equal on every orbit of these symmetries therefore never leaves
 the span of the orbit vectors |O|^(-1/2) sum_{x in O} |x>, an orthonormal
 basis in which H_eff is accumulated from the orbit labels and G stays
-diagonal.  The periodic chain's even sector has 8 orbits at N = 6, 18 at
-N = 8 and 44 at N = 10, against 32, 128 and 512 states.  The vacuum, the
-periodic ground state and every state evolved from them are symmetric in
-this sense; a sector with any other amplitudes keeps its own basis
-states, one orbit each.  Every route evolves the orbit coefficients and
-finds F from them; `evolve_dense` and `dense_ground_state` expand them
-back to the 2^N amplitudes.
+diagonal.  The periodic chain's even sector has 8 orbits at N = 6, 44 at
+N = 10 and 122 at N = 12, against 32, 512 and 2048 states; the open
+chain's has 20, 272 and 1056.  The vacuum, the ground state of either
+chain (`dense_ground_state` takes it from the even sector's orbits) and
+every state evolved from them are symmetric in this sense; a sector with
+any other amplitudes keeps its own basis states, one orbit each.  Every
+route evolves the orbit coefficients and finds F from them;
+`evolve_dense` and `dense_ground_state` expand them back to the 2^N
+amplitudes.  One size cap, MAX_DENSE_SITES, holds for every route.
 
 The QFI routes implemented here, all for the rate gamma, are
 deliberately independent of the free-fermion machinery and of each
@@ -80,14 +82,13 @@ __all__ = [
     "build_h_eff",
 ]
 
+# the one size cap of every route; at N = 12 a sector without symmetry has
+# 2048 states, the even sector 122 orbits on the periodic and 1056 on the
+# open chain
 MAX_DENSE_SITES = 12
 # step of the central differences in qfi_finite_difference; a rate below it
 # would be shifted to a negative rate
 FD_STEP = 1e-5
-# o_covariance_qfi takes a dense eig of each occupied sector's orbit block:
-# 2^(N-1) states for a state without symmetry, 44 for a symmetric periodic
-# state at N = 10
-MAX_QUADRATURE_SITES = 10
 # The squared norm of an evolved state is at least e^{-gamma N t}, since no
 # basis state decays faster than e^{-gamma N t / 2}.  Where gamma N t / 2
 # passes SHIFT_FROM it could fall below e^{-600}, toward the end of the
@@ -259,19 +260,19 @@ def dense_vacuum(n_sites: int) -> DenseState:
 
 
 def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
-    """Ground state of the gamma = 0 chain and its energy.
+    """Even-fermion-parity ground state of the gamma = 0 chain and its energy.
 
-    For the periodic chain this is the even-fermion-parity ground state,
-    matching the anti-periodic momentum-grid construction, taken in the
-    sector's orbit basis: the xx bonds make every off-diagonal entry of H
-    non-positive and connect the sector, so by Perron-Frobenius its ground
-    state is unique and positive, hence fixed by every site symmetry.  Its
-    amplitudes come out exactly equal on each orbit.  For the open chain
-    the global ground state is returned.
+    It is taken in the even sector's orbit basis, for either boundary: the
+    xx bonds make every off-diagonal entry of H non-positive and connect
+    the sector, so by Perron-Frobenius its ground state is unique and
+    positive, hence fixed by every site symmetry.  Its amplitudes come out
+    exactly equal on each orbit and exactly zero on the odd sector.  On the
+    periodic chain it matches the anti-periodic momentum grid; on the open
+    chain at even N it is the h -> 0+ ground state, even where the
+    splitting from the odd sector is below round-off.
     """
     n = params.n_sites
-    periodic = params.boundary == "periodic"
-    basis = _sector_orbits(n, "periodic")[0] if periodic else _singletons(np.arange(2**n))
+    basis = _sector_orbits(n, params.boundary)[0]
     vals, vecs = np.linalg.eigh(_orbit_generator(params.with_gamma(0.0), basis))
     amps = np.zeros(2**n, dtype=complex)
     amps[basis.rows] = basis.expand(vecs[:, 0])
@@ -410,8 +411,6 @@ def o_covariance_qfi(
     when the state loses its norm or F is not finite.
     """
     n = params.n_sites
-    if n > MAX_QUADRATURE_SITES:
-        raise ValueError(f"covariance oracle capped at {MAX_QUADRATURE_SITES} sites")
     times = np.asarray(t, dtype=float)
 
     sectors = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ PARAMS = {
         "log_offsets": (_LOG_OFFSETS, _LOG_OFFSETS({}, "")),
     }),
     "oracle-check": _object({
-        "quench_sizes": (_array(_number(integer=True, minimum=4, maximum=ed.MAX_QUADRATURE_SITES,
+        "quench_sizes": (_array(_number(integer=True, minimum=4, maximum=ed.MAX_DENSE_SITES,
                                         even=True)), [4, 6]),
         "hs": (_array(_number()), [0.3]),
         "gammas": (_array(_RATE), [0.5, 2.0]),
@@ -421,6 +422,9 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int = 1) -> RunResult:
     """Validate, dispatch, and write <experiment>.csv / <experiment>.json.
 
+    Raises ConfigError, before the run, when the output directory cannot
+    be made or written, or a result path exists and is no writable
+    regular file.
     Raises ToleranceFailure after writing outputs if an oracle check ends
     up above its tolerance.  ``threads`` is ignored: grid points always
     run in order.  It stays only because ``perfbench/harness.py`` passes
@@ -433,12 +437,17 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}")
+    if not os.access(out, os.W_OK):
+        raise ConfigError(f"output directory {out} is not writable")
+    csv_path, json_path = out / f"{exp}.csv", out / f"{exp}.json"
+    for path in (csv_path, json_path):
+        if path.exists() and not (path.is_file() and os.access(path, os.W_OK)):
+            raise ConfigError(f"result path {path} exists and is not a writable regular file")
 
     start = time.perf_counter()
     header, rows, fits, checks = _RUNNERS[exp](checked["params"])
     wall = time.perf_counter() - start
 
-    csv_path = out / f"{exp}.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -450,7 +459,6 @@ def run_experiment(config: dict, out_dir: str | Path | None = None, threads: int
         "versions": _versions(),
         "wall_time_s": wall,
     }
-    json_path = out / f"{exp}.json"
     with open(json_path, "w", newline="") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

@@ -170,13 +170,21 @@ class TestConfigValidation:
         assert result.exit_code == 2, result.output
         assert f"'{field}'" in result.output
 
-    @pytest.mark.parametrize(
-        "field,cap", [("quench_sizes", ed.MAX_QUADRATURE_SITES), ("witness_sizes", ed.MAX_DENSE_SITES)]
-    )
-    def test_oracle_sizes_stop_at_the_dense_caps(self, field, cap):
+    @pytest.mark.parametrize("field", ["quench_sizes", "witness_sizes"])
+    def test_oracle_sizes_stop_at_the_dense_cap(self, field):
+        cap = ed.MAX_DENSE_SITES
         validate_config({"experiment": "oracle-check", "params": {field: [cap]}})
         with pytest.raises(ConfigError, match=f"params/{field}/0.*greater than the maximum of {cap}"):
             validate_config({"experiment": "oracle-check", "params": {field: [cap + 2]}})
+
+    @pytest.mark.parametrize("size,code", [(12, 0), (14, 2)])
+    def test_oracle_quench_rows_run_up_to_the_dense_cap(self, tmp_path, size, code):
+        # every dense route takes the one cap; at N = 12 the periodic ground
+        # state's even sector has 122 orbits
+        params = {"quench_sizes": [size], "witness_sizes": []}
+        cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
+        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == code, result.output
 
     @pytest.mark.parametrize("name", [e for e in experiments.EXPERIMENTS if e != "oracle-check"])
     def test_missing_params_is_a_config_error(self, tmp_path, name):
@@ -265,6 +273,39 @@ class TestCliContract:
         result = CliRunner().invoke(main, ["spectrum", "--config", cfg])
         assert result.exit_code == 2, result.output
         assert f"cannot create output directory {out}" in result.output
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_result_path_that_is_no_file_is_refused_before_the_run(self, tmp_path, monkeypatch, suffix):
+        # a directory in the result's place used to end in an IsADirectoryError
+        # traceback, after the whole experiment had run
+        monkeypatch.setitem(experiments._RUNNERS, "spectrum", lambda params: pytest.fail("the run started"))
+        path = tmp_path / f"spectrum.{suffix}"
+        path.mkdir()
+        cfg = write_config(tmp_path / "c.json", SPECTRUM)
+        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"result path {path} exists and is not a writable regular file" in result.output
+        assert not (tmp_path / "spectrum.csv").is_file()
+
+    @pytest.mark.parametrize("target,message", [
+        ("out", "output directory {} is not writable"),
+        ("out/spectrum.csv", "result path {} exists and is not a writable regular file"),
+    ], ids=["directory", "file"])
+    def test_path_that_is_not_writable_is_refused_before_the_run(self, tmp_path, monkeypatch, target, message):
+        # permission bits cannot show it to a process run as root, which may
+        # write anywhere; the check asks os.access, so the test answers for it
+        out, locked = tmp_path / "out", tmp_path / target
+        out.mkdir()
+        (out / "spectrum.csv").write_text("old\n")
+        access = os.access
+        monkeypatch.setattr(experiments.os, "access",
+                            lambda path, mode: access(path, mode) and (Path(path), mode) != (locked, os.W_OK))
+        monkeypatch.setitem(experiments._RUNNERS, "spectrum", lambda params: pytest.fail("the run started"))
+        cfg = write_config(tmp_path / "c.json", SPECTRUM)
+        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message.format(locked) in result.output
+        assert (out / "spectrum.csv").read_text() == "old\n"
 
     def test_numerical_fault_exit_code(self, tmp_path, monkeypatch):
         from mipt_qfi import cli

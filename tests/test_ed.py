@@ -286,10 +286,12 @@ class TestQfiOracles:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalFault, match="did not converge"):
             qfi_finite_difference(p, 1.0, gs)
 
-    def test_quadrature_size_cap(self):
-        p = ModelParams(12, 0.3, 1.0)
-        with pytest.raises(ValueError):
-            o_covariance_qfi(p, 1.0, dense_vacuum(12))
+    def test_covariance_reaches_the_dense_cap(self):
+        # one cap for every route: at N = 12 the vacuum sits on the periodic
+        # even sector's 122 orbits
+        p = ModelParams(ed.MAX_DENSE_SITES, 0.3, 1.0)
+        vacuum = dense_vacuum(ed.MAX_DENSE_SITES)
+        assert o_covariance_qfi(p, 1.0, vacuum) == pytest.approx(qfi_frechet(p, 1.0, vacuum), rel=1e-11)
 
     @pytest.mark.parametrize("start", ["vacuum", "ground"])
     @pytest.mark.parametrize("n", [4, 6])
@@ -530,8 +532,7 @@ class TestOrbitReduction:
             for start in ("ground", "vacuum", "evolved")
         ]
         # each start once at N = 10, where the reference's eig of a 512-state
-        # sector takes ~0.7 s; the open ground state is reflection symmetric
-        # only to rounding and takes the whole sector, the reference itself
+        # sector takes ~0.7 s
         + [(10, "periodic", "ground"), (10, "periodic", "evolved"), (10, "open", "vacuum")],
     )
     def test_routes_match_the_unreduced_reference(self, n, boundary, start):
@@ -630,11 +631,28 @@ class TestGroundState:
             assert e_dense == pytest.approx(e_modes, rel=1e-12)
 
     def test_open_chain_ground_is_global_minimum(self):
+        # at h = 0.5 the global ground state is non-degenerate, so the even
+        # sector's is the same state up to a phase
         p = ModelParams(6, 0.5, 0.0, "open")
         state, energy = dense_ground_state(p)
         vals, vecs = np.linalg.eigh(build_hamiltonian(p))
         assert energy == pytest.approx(vals[0], rel=1e-12)
-        np.testing.assert_array_equal(state.amplitudes, vecs[:, 0])
+        assert abs(np.vdot(vecs[:, 0], state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("h", [0.0, 0.02, 0.3])
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_open_chain_ground_is_even_and_orbit_constant(self, n, h):
+        # where the splitting from the odd sector is below round-off (h = 0,
+        # and h = 0.02 from N = 8 on) a full-space eigh returns either parity
+        # or a mixture; the even sector's ground state is the h -> 0+ limit
+        p = ModelParams(n, h, 0.0, "open")
+        state, energy = dense_ground_state(p)
+        _, odd = parity_masks(n)
+        assert np.all(state.amplitudes[odd] == 0)
+        orbits = ed._sector_orbits(n, "open")[0]
+        amps = state.amplitudes[orbits.rows]
+        assert np.array_equal(amps, state.amplitudes[orbits.reps][orbits.label])
+        assert energy == pytest.approx(np.linalg.eigvalsh(build_hamiltonian(p))[0], rel=1e-12)
 
 
 # every dense route at t = 0.5, by name

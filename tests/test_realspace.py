@@ -212,24 +212,14 @@ class TestInitState:
         assert st_.orthonormality_defect() < 1e-12
 
 
-# At h = 0, and at h = 0.3 from N = 64 on, the pair of end zero modes of
-# the open-chain kernel is degenerate to round-off, and `init_state` takes a
-# Majorana vector of the pair, which annihilates no fermion state.  ROADMAP
-# lists the fix (U, V = (Phi +- Psi) / 2 from the SVD A - P = Phi Lambda Psi^T);
-# until it lands these cases fail, and strictly so.
+# At h = 0, at h = 0.02 from N = 10 and at h = 0.3 from N = 64 on, the pair
+# of end zero modes of the open-chain kernel is degenerate to round-off, and
+# `init_state` takes a Majorana vector of the pair, which annihilates no
+# fermion state.  ROADMAP lists the fix (U, V = (Phi +- Psi) / 2 from the SVD
+# A - P = Phi Lambda Psi^T); until it lands these cases fail, and strictly so.
 ZERO_MODE_DEFECT = pytest.mark.xfail(
     strict=True, reason="the h = 0 ground frame holds a Majorana zero mode (ROADMAP)"
 )
-
-
-def dense_even_ground_state(n):
-    """Even-parity ground state of the dense open chain at h = 0, the h -> 0+ limit."""
-    even, _ = ed._parity_sectors(n)
-    h_mat = ed.build_hamiltonian(ModelParams(n, 0.0, 0.0, "open"))
-    _, vecs = np.linalg.eigh(h_mat[np.ix_(even, even)])
-    amps = np.zeros(2**n, dtype=complex)
-    amps[even] = vecs[:, 0]
-    return ed.DenseState(amps, n)
 
 
 @pytest.mark.filterwarnings("ignore:open-chain ground state is degenerate")
@@ -250,15 +240,27 @@ class TestZeroFieldGroundFrame:
         gamma = majorana_correlations(state)
         assert np.max(np.abs(gamma @ gamma + np.eye(2 * n))) <= 1e-10
 
-    @ZERO_MODE_DEFECT
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_evolves_like_the_dense_even_ground_state(self, n):
-        # dense: F = 11.414238476643632 (N = 6) and 15.421061141374661
-        # (N = 8); the frame gives 12.1254 and 16.5154
+    @pytest.mark.parametrize("n,h0", [
+        pytest.param(6, 0.0, marks=ZERO_MODE_DEFECT),
+        pytest.param(8, 0.0, marks=ZERO_MODE_DEFECT),
+        pytest.param(10, 0.0, marks=ZERO_MODE_DEFECT),
+        pytest.param(10, 0.02, marks=ZERO_MODE_DEFECT),
+        (8, 0.3),
+        (8, 0.5),
+        (10, 0.3),
+        (10, 0.5),
+    ])
+    def test_evolves_like_the_dense_even_ground_state(self, n, h0):
+        # the dense reference is the open chain's even-parity ground state,
+        # the h0 -> 0+ limit; at h0 = 0 it gives F = 11.414238476643632
+        # (N = 6), 15.421061141374661 (N = 8) and 20.7406 (N = 10), where the
+        # frame gives 12.1254, 16.5154 and 22.2925; at N = 10, h0 = 0.02 the
+        # frame is 4.5% off
         p = ModelParams(n, 0.0, 0.75, "open")
-        dense = 4.0 * ed.sx_variance_dense(ed.evolve_dense(p, 7.5, dense_even_ground_state(n)))
-        frame = witness_qfi(evolve(init_state(n, "hermitian-ground"), p, 7.5, 1))
-        assert frame == pytest.approx(dense, rel=1e-9)
+        start, _ = ed.dense_ground_state(ModelParams(n, h0, 0.0, "open"))
+        dense = 4.0 * ed.sx_variance_dense(ed.evolve_dense(p, 7.5, start))
+        frame = witness_qfi(evolve(init_state(n, "hermitian-ground", h=h0), p, 7.5, 1))
+        assert frame == pytest.approx(dense, rel=1e-12)
 
 
 class TestEvolve:
