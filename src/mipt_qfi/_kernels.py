@@ -172,15 +172,16 @@ def pfaffian(a: np.ndarray) -> float | complex:
     return complex(pf) if np.iscomplexobj(a) else float(pf)
 
 
-def _nested_pfaffians(m0: np.ndarray, n_rows: int) -> tuple[np.ndarray, dict[str, int]]:
-    """P[i, q] = Pf(m0[2i:2q+2, 2i:2q+2]) for i < n_rows and q >= i.
+def _nested_pfaffians(m0: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+    """P[i, q] = Pf(m0[2i:2q+2, 2i:2q+2]) for i <= q < len(m0) / 2.
 
     Row i is the elimination of m0[2i:, 2i:].  The rows go through
     `_eliminate` in groups that fit the FLIGHT_COPIES cap.  Also returns
     the branch counts summed over the rows.
     """
     n = m0.shape[0]
-    out = np.zeros((n_rows, n // 2))
+    n_rows = n // 2
+    out = np.zeros((n_rows, n_rows))
     steps = {"2x2": 0, "4x4": 0, "pivoted": 0}
     # scale_i = max |m0[2i:, 2i:]|: |m0| is symmetric, so this is a suffix
     # maximum of the row maxima of its upper triangle
@@ -345,7 +346,7 @@ def xx_table(gamma: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarr
     if not np.all(np.isfinite(gamma)):
         raise NumericalFault("Majorana matrix has non-finite entries")
     n = gamma.shape[0] // 2
-    pf, counts = _nested_pfaffians(gamma[1 : 2 * n - 1, 1 : 2 * n - 1], n - 1)
+    pf, counts = _nested_pfaffians(gamma[1 : 2 * n - 1, 1 : 2 * n - 1])
     if steps is not None:
         for key, value in counts.items():
             steps[key] = steps.get(key, 0) + value

@@ -4,7 +4,10 @@ Everything here works in the spin basis.  The chain Hamiltonian is
 H = -sum_i (s^x_i s^x_{i+1} + h s^z_i) with the requested boundary, the
 monitored number operator is n_i = (1 + s^z_i)/2, and the no-click
 evolution is the normalized action of exp(-i H_eff t) with
-H_eff = H - (i gamma / 2) sum_i n_i.
+H_eff = H - (i gamma / 2) sum_i n_i.  Only that last term is complex:
+at gamma = 0 every block, and `build_hamiltonian`, is a real matrix, and
+the ground state and the gamma = 0 eigenbasis are found in real
+arithmetic.
 
 Bit convention: site i of basis state x is bit N-1-i of x (site 0 is the
 most significant bit), and bit 0 means s^z_i = +1, i.e. n_i = 1.  So s^z
@@ -218,14 +221,18 @@ def _orbit_generator(params: ModelParams, orbits: _Orbits) -> np.ndarray:
     The diagonal is constant on an orbit.  Each xx bond sends every row y
     to the row x = y ^ flip and adds -w_a w_b to entry (orbit of x, orbit
     of y); on singleton orbits this is the bond's -1 on the basis states.
-    Raises NumericalFault naming gamma and h when the diagonal overflows.
+    The block is real at gamma = 0, and complex only through the
+    -(i gamma / 2) n_i term.  Raises NumericalFault naming gamma and h when
+    the diagonal overflows.
     """
     n = params.n_sites
     rows, label, weight = orbits.rows, orbits.label, orbits.weight
     occupied = _occupations(n)[orbits.reps]
     # an overflow leaves a non-finite entry, which the test below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = -params.h * (2 * occupied - n) - 0.5j * params.gamma * occupied
+        diagonal = -params.h * (2 * occupied - n)
+        if params.gamma:
+            diagonal = diagonal - 0.5j * params.gamma * occupied
     if not np.all(np.isfinite(diagonal)):
         raise NumericalFault(f"H_eff is not finite at gamma = {params.gamma!r}, h = {params.h!r}")
     out = np.diag(diagonal)
@@ -339,9 +346,12 @@ def qfi_frechet(params: ModelParams, t: float, initial: DenseState) -> float:
     du = dpsi/|psi| - u Re<u, dpsi/|psi|> with u = psi/|psi|, keeps the
     decay of the norm out of the final difference, and
     F = 4 (|du|^2 - |<u, du>|^2).  Shifting X by a real multiple of the
-    identity scales both blocks alike.  Raises NumericalFault naming t when
-    the state loses its norm or the exponential overflows.
+    identity scales both blocks alike.  Raises ValueError for t < 0, and
+    NumericalFault naming t when the state loses its norm or the
+    exponential overflows.
     """
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
     sectors = _sector_bases(params, initial)
     rate = _decay_rate(params, t, [h_eff for _, _, h_eff in sectors])
     psi, dpsi = [], []
@@ -401,22 +411,25 @@ def o_covariance_qfi(
     normalized state.  At long times every phase carries the real factor
     e^{-r t} of the slowest decay rate r (see the module docstring).
 
-    t is a time or an array of times.  The decomposition, its condition
-    check, V^-1 and V^-1 G V do not depend on t and are made once per
-    orbit block; each time adds only its phases, its kernel and two mat-vecs.
+    t is a time or an array of times, each >= 0.  The decomposition, its
+    condition check, V^-1 and V^-1 G V do not depend on t and are made once
+    per orbit block; each time adds only its phases, its kernel and two mat-vecs.
     A scalar t is the same code on a 0-d array and returns a float; an
     array returns an array of its shape.  At gamma = 0 the blocks are
-    Hermitian and `eigh` gives a unitary eigenbasis.  Raises NumericalFault
-    when an eigenbasis is ill-conditioned, or, at the first time where it happens,
-    when the state loses its norm or F is not finite.
+    real symmetric and `eigh` gives an orthogonal eigenbasis.  Raises
+    ValueError for a negative time, and NumericalFault when an eigenbasis
+    is ill-conditioned, or, at the first time where it happens, when the
+    state loses its norm or F is not finite.
     """
     n = params.n_sites
     times = np.asarray(t, dtype=float)
+    if not np.all(times >= 0):
+        raise ValueError(f"times must be >= 0, got {t}")
 
     sectors = []
     for orbits, coeffs, block in _sector_bases(params, initial):
         if params.gamma == 0:
-            # Hermitian: an orthonormal eigenbasis even for degenerate levels
+            # real symmetric: an orthogonal eigenbasis even for degenerate levels
             vals, vecs = np.linalg.eigh(block)
             vecs_inv = vecs.conj().T
         else:

@@ -98,7 +98,7 @@ def r_matrix(mode: Mode, t: float) -> np.ndarray:
 
     The leading axes are those of the mode arrays: (2, 2) for one momentum.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     a, b, c = _closed_form_entries(mode, t)
     return np.stack([np.stack([a, b], axis=-1), np.stack([c, -a], axis=-1)], axis=-2)
@@ -123,12 +123,14 @@ def qfi_quench(params: ModelParams, t: float) -> float:
     Starts from the gamma = 0 ground state, evolves each mode pair under
     M_k, and sums the per-mode covariance of R_k.  The additive constant
     in the generator cancels in the covariance and never enters.  Raises
-    NumericalFault when round-off of the evolved
+    ValueError for t < 0, and NumericalFault when round-off of the evolved
     pairs, amplified by the growing entries of R_k, could exceed 1e-6 of
     the result, or when F or the floor is not finite: the estimated floor
     is sum_k (2 |off_k| n_k + n_k^2) with n_k = eps_mach * max(|A_k|,
     |B_k|, |C_k|).
     """
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
     mode = mode_system(params, momentum_grid(params.n_sites))
     u0, v0 = ising_ground_amplitudes(mode)
     # past the floor the entries overflow; the check below decides, quietly

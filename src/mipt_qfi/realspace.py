@@ -1,7 +1,8 @@
 """Real-space Gaussian-state evolution for the witness scenario.
 
 The no-click state of the open chain stays Gaussian at all times and is
-tracked by the 2N x N frame W = [[U], [V]]: its columns are the
+held as the one 2N x N frame array W = [[U], [V]] of `GaussianState`,
+whose U and V are views of it: its columns are the
 quasiparticle operators chi_m = sum_i (conj(U_im) c_i + conj(V_im) c_i+)
 that annihilate the state.  The frame obeys i dW/dt = K W with the
 single-particle kernel
@@ -68,20 +69,24 @@ MAX_CHUNKS = 2000
 
 @dataclass
 class GaussianState:
-    """Frame blocks U, V (N x N complex) with orthonormal stacked columns."""
+    """The 2N x N complex frame W = [[U], [V]] with orthonormal columns."""
 
-    U: np.ndarray
-    V: np.ndarray
+    W: np.ndarray
 
     @property
     def n_sites(self) -> int:
-        return self.U.shape[0]
+        return self.W.shape[1]
 
-    def frame(self) -> np.ndarray:
-        return np.vstack([self.U, self.V])
+    @property
+    def U(self) -> np.ndarray:
+        return self.W[: self.n_sites]
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.W[self.n_sites :]
 
     def orthonormality_defect(self) -> float:
-        w = self.frame()
+        w = self.W
         return float(np.max(np.abs(w.conj().T @ w - np.eye(self.n_sites))))
 
 
@@ -114,7 +119,7 @@ def init_state(n_sites: int, kind: str = "vacuum", h: float = 0.0) -> GaussianSt
     if n_sites < 2 or n_sites % 2 != 0:
         raise ValueError(f"n_sites must be even and >= 2, got {n_sites}")
     if kind == "vacuum":
-        return GaussianState(np.eye(n_sites, dtype=complex), np.zeros((n_sites, n_sites), complex))
+        return GaussianState(np.eye(2 * n_sites, n_sites, dtype=complex))
     if kind != "hermitian-ground":
         raise ValueError(f"unknown initial state kind {kind!r}")
     kernel = _hermitian_kernel(n_sites, h)
@@ -129,8 +134,7 @@ def init_state(n_sites: int, kind: str = "vacuum", h: float = 0.0) -> GaussianSt
         )
     # annihilators of the filled Fermi sea are the positive-eigenvalue
     # frame vectors (filling the negative-energy physical modes)
-    w = vecs[:, np.argsort(vals)[::-1][:n_sites]].astype(complex)
-    return GaussianState(w[:n_sites], w[n_sites:])
+    return GaussianState(vecs[:, np.argsort(vals)[::-1][:n_sites]].astype(complex))
 
 
 def evolve(state: GaussianState, params: ModelParams, dt: float, n_steps: int) -> GaussianState:
@@ -144,7 +148,7 @@ def evolve(state: GaussianState, params: ModelParams, dt: float, n_steps: int) -
         raise ValueError(f"n_steps must be an integer >= 0, got {n_steps!r}")
     if n_steps == 0:
         _check_evolution(state, params)
-        return GaussianState(state.U.copy(), state.V.copy())
+        return GaussianState(state.W.copy())
     return evolve_series(state, params, dt * n_steps, [1])[0]
 
 
@@ -191,8 +195,7 @@ def evolve_series(
     tau = step / per_step
     chunk = expm(-1j * tau * _kernel(params))
     growth = params.gamma * tau  # log condition number that one chunk adds
-    n = state.n_sites
-    w = state.frame()
+    w = state.W
     frames = []
     done = grown = 0
     for k in counts:
@@ -208,7 +211,8 @@ def evolve_series(
                         f"frame lost numerical rank at t = {done * tau:g} (pivot {small:.2e})"
                     )
                 w, grown = q, 0
-        frames.append(GaussianState(w[:n].copy(), w[n:].copy()))
+        # a QR ends every count, so w is a fresh factor that no later step writes into
+        frames.append(GaussianState(w))
     return frames
 
 

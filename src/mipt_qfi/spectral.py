@@ -54,7 +54,7 @@ class ModelParams:
     def __post_init__(self):
         if self.n_sites < 4 or self.n_sites % 2 != 0:
             raise ValueError(f"n_sites must be even and >= 4, got {self.n_sites}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.boundary not in (PERIODIC, OPEN):
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
@@ -135,14 +135,14 @@ def mode_system(params: ModelParams, k) -> Mode:
 
 def critical_gamma(h: float) -> float:
     """Critical measurement rate gamma_c = 4 sqrt(1 - h^2), defined for |h| < 1."""
-    if abs(h) >= 1.0:
+    if not abs(h) < 1.0:
         raise NoCriticalPointError(f"no critical point for |h| >= 1 (h = {h})")
     return 4.0 * math.sqrt(1.0 - h * h)
 
 
 def critical_momentum(h: float) -> float:
     """Momentum k_c = arccos(-h) of the mode whose gap closes at gamma_c."""
-    if abs(h) >= 1.0:
+    if not abs(h) < 1.0:
         raise NoCriticalPointError(f"no critical mode for |h| >= 1 (h = {h})")
     return math.acos(-h)
 

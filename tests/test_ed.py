@@ -222,6 +222,13 @@ class TestEvolveDense:
 
 
 class TestQfiOracles:
+    @pytest.mark.parametrize("route, t", [
+        (qfi_frechet, -1.0), (o_covariance_qfi, -1.0), (o_covariance_qfi, np.array([0.5, -1.0])),
+    ])
+    def test_negative_time_raises(self, route, t):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            route(ModelParams(4, 0.3, 1.0, "open"), t, dense_vacuum(4))
+
     def test_time_zero_vanishes(self):
         p = ModelParams(4, 0.3, 0.5)
         gs, _ = dense_ground_state(p)
@@ -522,6 +529,14 @@ class TestOrbitReduction:
             )
             counts.append(orbits.weight.size)
         assert tuple(counts) == self.ORBITS[boundary][n]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_zero_rate_blocks_are_real(self, boundary):
+        p = ModelParams(6, 0.3, 0.0, boundary)
+        assert build_hamiltonian(p).dtype == np.float64
+        for orbits in ed._sector_orbits(6, boundary):
+            assert ed._orbit_generator(p, orbits).dtype == np.float64
+        assert ed._orbit_generator(p.with_gamma(0.5), orbits).dtype == np.complex128
 
     @pytest.mark.parametrize(
         "n,boundary,start",

@@ -88,6 +88,10 @@ class TestQuenchQfi:
     def test_time_zero_is_exactly_zero(self):
         assert qfi_quench(ModelParams(16, 0.3, 1.0), 0.0) == 0.0
 
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            qfi_quench(ModelParams(8, 0.3, 1.0), -1.0)
+
     def test_matches_finite_difference_oracle(self):
         p = ModelParams(4, 0.3, 0.5)
         gs, _ = dense_ground_state(p)

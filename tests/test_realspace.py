@@ -87,11 +87,10 @@ def wick_majorana_correlations(state):
 def per_step_evolution(state, params, dt, n_steps):
     """Reference path: one exact exponential step of size dt and one QR per step."""
     step = sla.expm(-1j * dt * _kernel(params))
-    w = state.frame()
+    w = state.W
     for _ in range(n_steps):
         w, _ = np.linalg.qr(step @ w)
-    n = state.n_sites
-    return GaussianState(w[:n], w[n:])
+    return GaussianState(w)
 
 
 def chunk_loop_evolution(state, params, dt, n_steps):
@@ -99,11 +98,10 @@ def chunk_loop_evolution(state, params, dt, n_steps):
     total = dt * n_steps
     chunks = max(1, math.ceil(params.gamma * total / math.log(1e4)))
     step = _kernels.expm(-1j * (total / chunks) * _kernel(params))
-    w = state.frame()
+    w = state.W
     for _ in range(chunks):
         w, _ = np.linalg.qr(step @ w)
-    n = state.n_sites
-    return GaussianState(w[:n], w[n:])
+    return GaussianState(w)
 
 
 @pytest.fixture
@@ -267,7 +265,7 @@ class TestEvolve:
     def test_unitary_step_before_renormalization(self):
         p = ModelParams(8, 0.0, 0.0, "open")
         step = sla.expm(-1j * 0.05 * _kernel(p))
-        w = init_state(8, "hermitian-ground", h=0.5).frame()
+        w = init_state(8, "hermitian-ground", h=0.5).W
         for _ in range(40):
             w = step @ w
         defect = np.max(np.abs(w.conj().T @ w - np.eye(8)))
@@ -313,8 +311,8 @@ class TestChunkedEvolve:
         state = init_state(6, "hermitian-ground", h=0.4)
         out = evolve(state, ModelParams(6, 0.0, 0.0, "open"), 0.05, 0)
         assert qr_frames == []
-        assert out.U is not state.U and out.V is not state.V
-        np.testing.assert_array_equal(out.frame(), state.frame())
+        assert not np.shares_memory(out.W, state.W)
+        np.testing.assert_array_equal(out.W, state.W)
 
     @pytest.mark.parametrize("n_steps", [-1, 2.5, 3.0, "4"])
     def test_rejects_negative_or_non_integer_step_count(self, n_steps):
@@ -334,9 +332,9 @@ class TestChunkedEvolve:
         assert state.orthonormality_defect() < 1e-12
 
     def test_rank_collapse_raises(self):
-        frame = init_state(8, "hermitian-ground", h=0.5).frame()
+        frame = init_state(8, "hermitian-ground", h=0.5).W
         frame[:, 1] = frame[:, 0]
-        state = GaussianState(frame[:8], frame[8:])
+        state = GaussianState(frame)
         with pytest.raises(NumericalFault, match="numerical rank"):
             evolve(state, ModelParams(8, 0.0, 0.75, "open"), 0.05, 10)
 
@@ -349,11 +347,11 @@ class TestChunkedEvolve:
         start = quiet_init(n, kind)
         with mp.workdps(50):
             step = mp.expm(mp.mpc(0, -t / pieces) * mp.matrix(_kernel(p).tolist()))
-            w = mp.matrix(start.frame().tolist())
+            w = mp.matrix(start.W.tolist())
             for _ in range(pieces):
                 w, _ = mp.qr(step * w, mode="skinny")
             w = np.array(w.tolist(), dtype=complex)
-        reference = majorana_correlations(GaussianState(w[:n], w[n:]))
+        reference = majorana_correlations(GaussianState(w))
         got = majorana_correlations(evolve(start, p, 0.05, 1200))
         np.testing.assert_allclose(got, reference, rtol=0, atol=1e-12)
 
@@ -379,8 +377,8 @@ class TestChunkedEvolve:
         p = ModelParams(n, 0.0, gamma, "open")
         start = quiet_init(n, kind)
         n_steps = int(round(t / dt))
-        got = evolve(start, p, dt, n_steps).frame()
-        np.testing.assert_array_equal(got, chunk_loop_evolution(start, p, dt, n_steps).frame())
+        got = evolve(start, p, dt, n_steps).W
+        np.testing.assert_array_equal(got, chunk_loop_evolution(start, p, dt, n_steps).W)
 
 
 class TestEvolveSeries:
@@ -405,6 +403,15 @@ class TestEvolveSeries:
         evolve_series(init_state(8), ModelParams(8, 0.0, gamma, "open"), step, [4, 5, 6])
         assert len(exponentials) == 1
         assert len(qr_frames) == qrs
+
+    @pytest.mark.parametrize("counts", [[4, 5, 6], [1]])
+    def test_frames_share_no_memory(self, counts):
+        start = init_state(8, "hermitian-ground", h=0.5)
+        series = evolve_series(start, ModelParams(8, 0.0, 0.75, "open"), 1.5, counts)
+        frames = [start.W] + [state.W for state in series]
+        for i, a in enumerate(frames):
+            for b in frames[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("counts", [[], [0, 1], [2, 2], [3, 1], [1.0]])
     def test_rejects_counts_that_are_not_increasing_positive_integers(self, counts):

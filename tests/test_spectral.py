@@ -147,7 +147,7 @@ class TestCriticality:
         assert critical_gamma(0.6) == pytest.approx(3.2)
         assert critical_gamma(1 - 1e-12) == pytest.approx(0.0, abs=1e-5)
 
-    @pytest.mark.parametrize("h", [1.0, -1.0, 1.5])
+    @pytest.mark.parametrize("h", [1.0, -1.0, 1.5, float("nan")])
     def test_no_critical_point_signal(self, h):
         with pytest.raises(NoCriticalPointError):
             critical_gamma(h)
@@ -196,6 +196,10 @@ class TestModelParams:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             ModelParams(8, 0.0, -0.1)
+
+    def test_rejects_nan_gamma(self):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            ModelParams(4, 0.3, float("nan"))
 
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
