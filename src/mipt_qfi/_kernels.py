@@ -50,6 +50,16 @@ moves down to the next panel's coordinates.  Rows in flight each hold a
 trailing block, so the rows are taken in groups whose blocks and pairs
 fit in FLIGHT_COPIES copies of M0 (one group up to N = 64); a later
 group starts at its first row's position.
+
+`xx_table` also takes a stack of K matrices of one size, such as the
+frames of one witness series at its three times.  Row i of every matrix
+joins at position 2i, so the K tables share the loop over positions:
+the rows go row index first and matrix second, and each keeps its own
+branch, scale and pivoted fallback, so every table is bit-identical to
+that of its matrix alone.  The rows in flight of a stack may hold
+max(FLIGHT_COPIES copies of M0, FLIGHT_FLOOR), and a stack that does not
+fit one row group is split by whole matrices, never by rows: three
+tables at N <= 32, two and one at N = 48, one at a time from N = 64 on.
 """
 
 from __future__ import annotations
@@ -74,11 +84,18 @@ PANEL = 8
 # Memory that the rows in flight (their blocks and pending pairs) may hold,
 # in copies of M0.  `evolve` peaks at about 20 copies (the Pade exponential
 # of the complex 2N x 2N kernel), so the table needs no more memory than the
-# evolution before it.  17 is the most that keeps the table's tracemalloc
-# peak below evolve's at N = 16 .. 256 (at most 0.97 of it, at N = 64; 18
-# reads 1.03 at N = 80 and 1.01 at N = 96), and it makes tables up to
-# N = 64 one group: N - 1 positions, where two groups take more.
+# evolution before it.  At 17 the table's tracemalloc peak is at most 0.94
+# of evolve's at N = 16 .. 256 (0.89 at N = 64; 18 reads up to 0.98 and 19
+# up to 1.04, at N = 128), and tables up to N = 64 are one group: N - 1
+# positions, where two groups take more.
 FLIGHT_COPIES = 17
+
+# Floats that the rows in flight may hold however small M0 is: what one
+# N = 64 table holds at FLIGHT_COPIES.  Below that size a stack of tables
+# is eliminated together (three at N <= 32, two at N = 48), which saves
+# the per-position numpy overhead of separate tables; a cap per matrix
+# instead raised the witness benchmark's peak RSS by 11%.
+FLIGHT_FLOOR = FLIGHT_COPIES * 126**2
 
 # signs of the S4 entries in the coefficients of a 4x4 step's pairs
 _K_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
@@ -173,27 +190,40 @@ def pfaffian(a: np.ndarray) -> float | complex:
 
 
 def _nested_pfaffians(m0: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
-    """P[i, q] = Pf(m0[2i:2q+2, 2i:2q+2]) for i <= q < len(m0) / 2.
+    """P[k, i, q] = Pf(m0[k, 2i:2q+2, 2i:2q+2]) for i <= q < m0.shape[1] / 2.
 
-    Row i is the elimination of m0[2i:, 2i:].  The rows go through
-    `_eliminate` in groups that fit the FLIGHT_COPIES cap.  Also returns
-    the branch counts summed over the rows.
+    Row i of matrix k is the elimination of m0[k, 2i:, 2i:].  The matrices
+    go through `_eliminate` in groups of as many whole tables as fit the
+    cap, max(FLIGHT_COPIES copies of one matrix, FLIGHT_FLOOR); a matrix
+    too large for one group goes alone, its rows in groups that fit the
+    cap.  Also returns the branch counts summed over the rows.
     """
-    n = m0.shape[0]
+    tables, n = m0.shape[:2]
     n_rows = n // 2
-    out = np.zeros((n_rows, n_rows))
+    parts = []
     steps = {"2x2": 0, "4x4": 0, "pivoted": 0}
-    # scale_i = max |m0[2i:, 2i:]|: |m0| is symmetric, so this is a suffix
-    # maximum of the row maxima of its upper triangle
-    rowmax = np.max(np.triu(np.abs(m0)), axis=1, initial=0.0)
-    scale = np.maximum.accumulate(rowmax[::-1])[::-1][: 2 * n_rows : 2]
-    first = 0
-    while first < n_rows:
-        c = 2 * first
-        rows = _rows_in_flight(n - c, n_rows - first, FLIGHT_COPIES * n * n)
-        _eliminate(m0[c:, c:], out[first : first + rows, first:], scale[first : first + rows], steps)
-        first += rows
-    return out, steps
+    # scale[k, i] = max |m0[k, 2i:, 2i:]|: |m0[k]| is symmetric, so this
+    # is a suffix maximum of the row maxima of its upper triangle
+    rowmax = np.max(np.triu(np.abs(m0)), axis=2, initial=0.0)
+    scale = np.maximum.accumulate(rowmax[:, ::-1], axis=1)[:, ::-1][:, : 2 * n_rows : 2]
+    cap = max(FLIGHT_COPIES * n * n, FLIGHT_FLOOR)
+    per = max(1, cap // max(1, _footprint(n, n_rows)[0]))
+    for k in range(0, tables, per):
+        group = m0[k : k + per]
+        count = len(group)
+        # row i of matrix k + j is row i * count + j, so that the rows
+        # that join at one position are contiguous
+        flat = np.zeros((n_rows * count, n_rows))
+        flat_scale = scale[k : k + per].T.ravel()
+        first = 0
+        while first < n_rows:
+            c = 2 * first
+            rows = _rows_in_flight(n - c, n_rows - first, cap // count)
+            lo, hi = first * count, (first + rows) * count
+            _eliminate(group[:, c:, c:], flat[lo:hi, first:], flat_scale[lo:hi], steps)
+            first += rows
+        parts.append(flat.reshape(n_rows, count, n_rows).swapaxes(0, 1))
+    return np.concatenate(parts), steps
 
 
 def _panels(m: int, rows: int) -> Iterator[tuple[int, int, int, int]]:
@@ -209,12 +239,18 @@ def _panels(m: int, rows: int) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _footprint(m: int, rows: int) -> tuple[int, int]:
-    """Floats of the stack at its largest and of the largest panel's pairs."""
-    stack = pairs = 0
+    """Floats of `rows` rows eliminated on m x m: (charged, held).
+
+    charged, the largest stack plus the largest panel's pairs, counts
+    against the caps; held, the most that one panel's stack and pairs
+    take together, is what the rows allocate, in one buffer with the
+    stack at its bottom and the pairs at its top.
+    """
+    stack = pairs = held = 0
     for start, _, joined, width in _panels(m, rows):
-        stack = max(stack, joined * (m - start) ** 2)
-        pairs = max(pairs, joined * width * (m - start))
-    return stack, pairs
+        s, p = joined * (m - start) ** 2, joined * width * (m - start)
+        stack, pairs, held = max(stack, s), max(pairs, p), max(held, s + p)
+    return stack + pairs, held
 
 
 def _rows_in_flight(m: int, rows: int, cap: int) -> int:
@@ -222,7 +258,7 @@ def _rows_in_flight(m: int, rows: int, cap: int) -> int:
     lo, hi = 1, rows
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if sum(_footprint(m, mid)) <= cap:
+        if _footprint(m, mid)[0] <= cap:
             lo = mid
         else:
             hi = mid - 1
@@ -230,47 +266,52 @@ def _rows_in_flight(m: int, rows: int, cap: int) -> int:
 
 
 def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[str, int]) -> None:
-    """Eliminate rows b < len(out) of a together, row b on a[2b:, 2b:].
+    """Eliminate the rows of the K matrices a[k] together.
 
-    Sets out[b, q] = Pf(a[2b:2q+2, 2b:2q+2]) for q >= b and adds the branch
-    counts to steps.  Row b joins at position 2b; at each position every
-    row whose next step is there takes it, with its own scale[b].  Within a
-    panel the stack s holds each joined row's block [start:, start:] as it
-    was at the panel start, and xy its pending update pairs: pair c,
-    x = xy[b, 2c] and y = xy[b, 2c + 1], adds x y^T - y x^T to the block.
-    The step at slot t of the panel stores its pairs from pair t on: one
-    for a 2x2 step, two for a 4x4 step (which also covers slot t + 1).
+    Row b = i K + k of out is row i of matrix k, on a[k, 2i:, 2i:].  Sets
+    out[b, q] = Pf(a[k, 2i:2q+2, 2i:2q+2]) for q >= i and adds the branch
+    counts to steps.  Row i of every matrix joins at position 2i; at each
+    position every row whose next step is there takes it, with its own
+    scale[b].  Within a panel the stack s holds each joined row's block
+    [start:, start:] as it was at the panel start, and xy its pending
+    update pairs: pair c, x = xy[b, 2c] and y = xy[b, 2c + 1], adds
+    x y^T - y x^T to the block.  The step at slot t of the panel stores
+    its pairs from pair t on: one for a 2x2 step, two for a 4x4 step
+    (which also covers slot t + 1).
     """
-    rows, m = out.shape[0], a.shape[0]
-    buf = np.empty(_footprint(m, rows)[0])
+    tables, m = a.shape[:2]
+    rows = out.shape[0]
+    buf = np.empty(tables * _footprint(m, rows // tables)[1])
     s = buf[:0].reshape(0, m, m)
-    xy = np.zeros((0, 0, m))
+    xy = buf[:0].reshape(0, 0, m)
     pf = np.ones(rows)
-    nxt = 2 * np.arange(rows)  # position of each row's next step, -1 once done
+    nxt = 2 * (np.arange(rows) // tables)  # position of each row's next step, -1 once done
     tol2, tol4 = PIVOT_TOL * scale, PIVOT_TOL * scale**2
-    for start, stop, joined, width in _panels(m, rows):
-        size, lead = m - start, 2 * PANEL
+    for start, stop, joined, width in _panels(m, rows // tables):
+        size, lead, joined = m - start, 2 * PANEL, joined * tables
+        r = None  # the last position's rows, freed before the compaction
         # apply the last panel's pairs while compacting the stack to
-        # [start:, start:] in place (every row moves to lower addresses),
-        # then let in the rows that join in this panel
+        # [start:, start:] in place (every row moves to lower addresses;
+        # the rows carried fill less than the last panel's stack, so they
+        # stay clear of its pairs), then let in the rows that join in this
+        # panel and clear the pairs
         new = buf[: joined * size * size].reshape(joined, size, size)
         for b in range(len(s)):
-            w = xy[b, 0::2, lead:].T @ xy[b, 1::2, lead:]
-            np.add(s[b, lead:, lead:], w, out=new[b])
-            new[b] -= w.T
-        new[len(s) :] = a[start:, start:]
+            _apply_pairs(s[b, lead:, lead:], xy[b, 0::2, lead:], xy[b, 1::2, lead:], new[b])
+        new[len(s) :].reshape(-1, tables, size, size)[:] = a[:, start:, start:]
         s = new
-        xy = np.zeros((joined, width, size))
+        xy = buf[len(buf) - joined * width * size :].reshape(joined, width, size)
+        xy.fill(0.0)
         for p in range(start, stop, 2):
             o, t, col = p - start, (p - start) // 2, p // 2
-            jj = min(rows, col + 1)
+            jj = min(rows, tables * (col + 1))
             # rows p .. p+3 of every joined row's block with the pending
             # pairs applied; a row that steps here has none at t or later
             r = s[:jj, o : o + 4, o:]
             if t:
                 x, y = xy[:jj, 0 : 2 * t : 2, o:], xy[:jj, 1 : 2 * t : 2, o:]
-                r = r + (x[:, :, :4].transpose(0, 2, 1) @ y - y[:, :, :4].transpose(0, 2, 1) @ x)
-            s01 = r[:, 0, 1]
+                r = _with_pairs(r, x, y)
+            s01 = r[:, 0, 1].copy()  # a view would keep r alive into the next position
             go = nxt[:jj] == p
             big = np.abs(s01) > tol2[:jj]
             two = go & big
@@ -308,8 +349,9 @@ def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[st
             if small.any():
                 for b in four[small]:
                     nxt[b] = -1
+                    i = 2 * (b // tables)
                     for c in range(col + 2, m // 2):
-                        out[b, c] = pfaffian(a[2 * b : 2 * c + 2, 2 * b : 2 * c + 2])
+                        out[b, c] = pfaffian(a[b % tables, i : 2 * c + 2, i : 2 * c + 2])
                     steps["pivoted"] += m // 2 - col - 2
                 four, s4, pf4 = four[~small], s4[~small], pf4[~small]
                 if not four.size:
@@ -336,24 +378,49 @@ def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[st
             xy[four, 2 * t : 2 * t + 4, o + 4 :] = k.reshape(-1, 4, 4) @ r[four, :, 4:]
 
 
-def xx_table(gamma: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarray:
-    """Upper-triangular (N, N) table of <x_i x_j> from the real Majorana matrix Gamma.
+def _apply_pairs(block: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out = block + x^T y - y^T x, for a panel's pairs x and y of one row.
 
-    <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i.  If steps is given,
-    each branch's step count over the table ("2x2", "4x4", "pivoted") is
-    added to it.  Raises NumericalFault when Gamma is not finite.
+    A function of its own, so that w is freed before the panel's steps.
+    """
+    w = x.T @ y
+    np.add(block, w, out=out)
+    out -= w.T
+
+
+def _with_pairs(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """r + (x4^T y - y4^T x) per row, x4 and y4 the first four columns.
+
+    In place on the first product, so that two temporaries live at once.
+    """
+    q = x[:, :, :4].transpose(0, 2, 1) @ y
+    q -= y[:, :, :4].transpose(0, 2, 1) @ x
+    q += r
+    return q
+
+
+def xx_table(gamma: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarray:
+    """Upper-triangular (N, N) tables of <x_i x_j> from real Majorana matrices Gamma.
+
+    gamma is one (2N, 2N) matrix, which gives one (N, N) table, or a
+    stack (K, 2N, 2N), which gives (K, N, N), each table equal to that of
+    its matrix alone.  <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i.  If
+    steps is given, each branch's step count over the tables ("2x2",
+    "4x4", "pivoted") is added to it.  Raises NumericalFault when Gamma is
+    not finite.
     """
     if not np.all(np.isfinite(gamma)):
         raise NumericalFault("Majorana matrix has non-finite entries")
-    n = gamma.shape[0] // 2
-    pf, counts = _nested_pfaffians(gamma[1 : 2 * n - 1, 1 : 2 * n - 1])
+    n = gamma.shape[-1] // 2
+    stack = gamma.reshape(-1, 2 * n, 2 * n)
+    pf, counts = _nested_pfaffians(stack[:, 1 : 2 * n - 1, 1 : 2 * n - 1])
     if steps is not None:
         for key, value in counts.items():
             steps[key] = steps.get(key, 0) + value
-    d = np.arange(1, n) - np.arange(n - 1)[:, None]  # d = j - i of pf[i, j - 1]
-    out = np.zeros((n, n))
-    out[: n - 1, 1:] = np.triu(np.where(d % 2, -pf, pf))
-    return out
+    d = np.arange(1, n) - np.arange(n - 1)[:, None]  # d = j - i of pf[:, i, j - 1]
+    out = np.zeros((len(stack), n, n))
+    out[:, : n - 1, 1:] = np.triu(np.where(d % 2, -pf, pf))
+    return out.reshape(gamma.shape[:-2] + (n, n))
 
 
 def backend_name() -> str:

@@ -289,9 +289,11 @@ def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
 def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseState:
     """Normalized exp(-i H_eff t) |initial>, one occupied parity sector at a time.
 
-    Raises NumericalFault naming t when the state loses its norm or the
-    exponential overflows.
+    Raises ValueError for t < 0 (or NaN), and NumericalFault naming t when
+    the state loses its norm or the exponential overflows.
     """
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
     sectors = _sector_bases(params, initial)
     rate = _decay_rate(params, t, [block for _, _, block in sectors])
     psi = np.zeros(2**params.n_sites, dtype=complex)
@@ -377,6 +379,7 @@ def qfi_finite_difference(params: ModelParams, t: float, initial: DenseState) ->
     The steps are FD_STEP and FD_STEP / 2.  The state is normalized before
     differentiating; for non-unitary evolution differentiating the raw
     exponential would give the QFI of the wrong (unphysical) family.
+    Raises ValueError for t < 0, through `evolve_dense`.
     """
     psi = evolve_dense(params, t, initial).amplitudes
     estimates = []

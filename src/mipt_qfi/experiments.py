@@ -27,7 +27,7 @@ from . import ed
 from .errors import ConfigError, NumericalFault, ToleranceFailure
 from .fitting import fit_exponential_rate, fit_power_law, stable_window_start
 from .qfi import critical_mode_coefficient, fbar, qfi_quench
-from .realspace import entanglement_depth, evolve, evolve_series, init_state, witness_qfi
+from .realspace import entanglement_depth, evolve, evolve_series, init_state, witness_qfi, witness_qfis
 from .spectral import ModelParams, critical_gamma, spectrum_table
 
 __all__ = ["EXPERIMENTS", "PARAMS", "load_config", "validate_config", "run_experiment"]
@@ -261,7 +261,7 @@ def _run_spectrum(params: dict):
 def _witness_series(n: int, gamma: float, step: float, counts: tuple, kind: str, h0: float):
     p = ModelParams(n, 0.0, gamma, "open")
     frames = evolve_series(init_state(n, kind, h=h0), p, step, counts)
-    return [witness_qfi(state) for state in frames]
+    return witness_qfis(frames)
 
 
 def _run_witness(params: dict):

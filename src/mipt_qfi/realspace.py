@@ -31,7 +31,10 @@ correlators <x_i x_j> reduce to Pfaffians of string blocks of Gamma,
 all of them at once in O(N^4) by the nested real kernel
 `_kernels.xx_table`, and the witness QFI is F = 4 Var(S_x) =
 N + 2 sum_{i<j} <x_i x_j> (the mean <S_x> vanishes by fermion parity of
-the evolved state).
+the evolved state).  `witness_qfis` gives F of every frame of one size,
+such as a series' three times, from one stacked table, whose frames
+share the kernel's loop over positions; `witness_qfi` is its one-frame
+case.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "evolve_series",
     "majorana_correlations",
     "witness_qfi",
+    "witness_qfis",
     "entanglement_depth",
 ]
 
@@ -240,18 +244,31 @@ def majorana_correlations(state: GaussianState) -> np.ndarray:
 
 
 def witness_qfi(state: GaussianState) -> float:
-    """F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j>.
+    """F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j>: `witness_qfis` of one frame."""
+    return witness_qfis([state])[0]
+
+
+def witness_qfis(states: Sequence[GaussianState]) -> list[float]:
+    """F = 4 Var(S_x) = N + 2 sum_{i<j} <x_i x_j> of each frame of one size.
 
     <S_x> = 0 by fermion parity of the evolved state (checked against the
-    dense oracle in the tests).  The table of <x_i x_j> comes from the
-    nested real string-Pfaffian kernel `xx_table`, which checks that the
-    Majorana matrix is finite; a non-finite F raises NumericalFault.
+    dense oracle in the tests).  The tables of <x_i x_j> come from one call
+    of the nested real string-Pfaffian kernel `xx_table` on the stack of
+    the frames' Majorana matrices, so that the frames share its loop over
+    positions; it checks that the matrices are finite, and a non-finite
+    table raises NumericalFault.
     """
-    table = xx_table(majorana_correlations(state))
-    value = state.n_sites + 2.0 * float(np.sum(table))
-    if not math.isfinite(value):
-        raise NumericalFault(f"witness QFI is not finite ({value})")
-    return value
+    n = states[0].n_sites
+    if len(states) == 1:
+        gamma = majorana_correlations(states[0])
+    else:
+        gamma = np.empty((len(states), 2 * n, 2 * n))
+        for k, state in enumerate(states):
+            gamma[k] = majorana_correlations(state)
+    table = xx_table(gamma)
+    if not np.all(np.isfinite(table)):
+        raise NumericalFault("witness string table is not finite")
+    return [n + 2.0 * float(np.sum(t)) for t in table.reshape(-1, n, n)]
 
 
 def entanglement_depth(F: float, n_sites: int) -> int:

@@ -40,7 +40,7 @@ class ModelParams:
     """Knobs of the monitored chain; the Ising coupling is fixed to 1.
 
     n_sites : even chain length, >= 4
-    h       : transverse field (dimensionless)
+    h       : transverse field (dimensionless), not NaN
     gamma   : measurement rate, >= 0
     boundary: "periodic" (spin chain; momentum-space methods) or "open"
               (real-space methods)
@@ -56,6 +56,9 @@ class ModelParams:
             raise ValueError(f"n_sites must be even and >= 4, got {self.n_sites}")
         if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        # a large or infinite h stays accepted: it overflows into typed faults
+        if math.isnan(self.h):
+            raise ValueError(f"h must be a number, got {self.h}")
         if self.boundary not in (PERIODIC, OPEN):
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
 

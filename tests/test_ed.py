@@ -224,6 +224,8 @@ class TestEvolveDense:
 class TestQfiOracles:
     @pytest.mark.parametrize("route, t", [
         (qfi_frechet, -1.0), (o_covariance_qfi, -1.0), (o_covariance_qfi, np.array([0.5, -1.0])),
+        (evolve_dense, -1.0), (evolve_dense, float("nan")),
+        (qfi_finite_difference, -1.0), (qfi_finite_difference, float("nan")),
     ])
     def test_negative_time_raises(self, route, t):
         with pytest.raises(ValueError, match="must be >= 0"):

@@ -10,7 +10,7 @@ import scipy.linalg as sla
 from mipt_qfi import _kernels, ed, realspace
 from mipt_qfi._kernels import pfaffian
 from mipt_qfi.errors import NumericalFault
-from mipt_qfi.realspace import evolve, init_state, majorana_correlations
+from mipt_qfi.realspace import evolve, evolve_series, init_state, majorana_correlations
 from mipt_qfi.spectral import ModelParams
 
 # (start kind, gamma, t); h = 0 throughout, so the ground start at t = 0 is
@@ -271,29 +271,111 @@ class TestStringTableBranches:
         assert row_steps["4x4"] >= 1 and row_steps["pivoted"] == 0
 
 
+def witness_frames(n, kind, t=7.5, gamma=0.75):
+    """Start, parameters and step of a witness-scaling series at h = 0.
+
+    Its frames at 4, 5 and 6 steps are the times 0.8 t, t and 1.2 t.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate h = 0 ground start
+        state = init_state(n, kind)
+    return state, ModelParams(n, 0.0, gamma, "open"), t / 5
+
+
+def stacked_and_single(gammas):
+    """xx_table of the stack and of each matrix alone, with their branch counts."""
+    stacked, single = {}, {}
+    table = _kernels.xx_table(gammas, stacked)
+    tables = np.stack([_kernels.xx_table(g, single) for g in gammas])
+    return table, stacked, tables, single
+
+
+class TestStackedStringTable:
+    """A stack of K Majorana matrices gives each matrix's own table, bit for bit."""
+
+    @pytest.mark.parametrize("n,kind,gamma,t", [(n, *state) for n in (8, 16, 32) for state in STATES])
+    def test_stack_equals_single_tables(self, n, kind, gamma, t):
+        gammas = np.stack([majorana_matrix(n, kind, gamma, f * t) for f in (0.8, 1.0, 1.2)])
+        table, stacked, tables, single = stacked_and_single(gammas)
+        np.testing.assert_array_equal(table, tables)
+        assert stacked == single
+
+    @pytest.mark.parametrize("n,kind,groups", [
+        (16, "hermitian-ground", [3]),
+        (32, "vacuum", [3]),
+        (48, "hermitian-ground", [2, 1]),
+        (48, "vacuum", [2, 1]),
+        (64, "hermitian-ground", [1, 1, 1]),
+        (64, "vacuum", [1, 1, 1]),
+    ])
+    def test_witness_frames_split_by_matrices(self, n, kind, groups, monkeypatch):
+        state, params, step = witness_frames(n, kind)
+        gammas = np.stack([majorana_correlations(f) for f in evolve_series(state, params, step, (4, 5, 6))])
+        seen = []
+        eliminate = _kernels._eliminate
+
+        def counted(a, out, scale, steps):
+            seen.append(len(a))
+            eliminate(a, out, scale, steps)
+
+        monkeypatch.setattr(_kernels, "_eliminate", counted)
+        table, stacked, tables, single = stacked_and_single(gammas)
+        # whole matrices per group, then the three single tables
+        assert seen == groups + [1, 1, 1]
+        np.testing.assert_array_equal(table, tables)
+        assert stacked == single
+
+    def test_pivoted_fallback_reads_its_own_matrix(self):
+        # the middle matrix's row MID has a zero 2x2 and a zero 4x4 pivot
+        block = 0.2 * random_real_antisymmetric(12, 7)
+        block[:4, :4] = 0.0
+        gammas = np.stack([planted_gamma(MID, np.zeros((0, 0)), seed) for seed in (11, 5, 3)])
+        gammas[1] = planted_gamma(MID, block, 5)
+        table, stacked, tables, single = stacked_and_single(gammas)
+        np.testing.assert_array_equal(table, tables)
+        assert stacked == single and stacked["pivoted"] == TABLE_SITES - 1 - MID - 2
+        np.testing.assert_allclose(table[1], pairwise_table(gammas[1]), rtol=1e-10, atol=1e-15)
+
+    def test_two_dimensional_input_is_a_stack_of_one(self):
+        g = majorana_matrix(8, "vacuum", 0.75, 2.0)
+        np.testing.assert_array_equal(_kernels.xx_table(g[None])[0], _kernels.xx_table(g))
+
+
+def traced_peak(f, *args):
+    """Peak traced memory of f(*args) above what was allocated before, and its result."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        tracemalloc.stop()
+
+
 class TestStringTableMemory:
     @pytest.mark.parametrize("n", [16, 64, 80, 96, 128])
     def test_table_peak_is_at_most_the_evolution_peak(self, n):
         # tracemalloc counts numpy's buffers exactly, so this is deterministic;
-        # at N = 80 and 96 one more copy in FLIGHT_COPIES would pass the bound
+        # at N = 96 and 128 two more copies in FLIGHT_COPIES would pass the bound
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             state = init_state(n, "hermitian-ground")
         params = ModelParams(n, 0.0, 0.75, "open")
-
-        def peak(f, *args):
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                out = f(*args)
-                return tracemalloc.get_traced_memory()[1] - base, out
-            finally:
-                tracemalloc.stop()
-
-        evolve_peak, state = peak(evolve, state, params, 0.05, 150)
-        table_peak, _ = peak(_kernels.xx_table, majorana_correlations(state))
+        evolve_peak, state = traced_peak(evolve, state, params, 0.05, 150)
+        table_peak, _ = traced_peak(_kernels.xx_table, majorana_correlations(state))
         assert table_peak <= evolve_peak
+
+    @pytest.mark.parametrize("n", [16, 32, 48, 64])
+    @pytest.mark.parametrize("kind", ["hermitian-ground", "vacuum"])
+    def test_stack_peak_is_at_most_the_series_peak_or_the_floor(self, n, kind):
+        # the three witness tables of one size: up to N = 48 the floor bounds
+        # them, at N = 64 (one table at a time) the evolution does
+        state, params, step = witness_frames(n, kind)
+        series_peak, frames = traced_peak(evolve_series, state, params, step, (4, 5, 6))
+        gammas = np.stack([majorana_correlations(f) for f in frames])
+        stack_peak, _ = traced_peak(_kernels.xx_table, gammas)
+        assert stack_peak <= max(series_peak, 8 * _kernels.FLIGHT_FLOOR)
 
 
 class TestMajoranaMatrixChecks:

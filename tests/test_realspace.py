@@ -23,6 +23,7 @@ from mipt_qfi.realspace import (
     init_state,
     majorana_correlations,
     witness_qfi,
+    witness_qfis,
 )
 from mipt_qfi.spectral import ModelParams
 
@@ -517,6 +518,16 @@ class TestWitnessQfi:
             warnings.simplefilter("ignore")
             st_ = init_state(8, "hermitian-ground", h=0.0)
         assert witness_qfi(st_) == pytest.approx(64.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 48])
+    @pytest.mark.parametrize("kind", ["vacuum", "hermitian-ground"])
+    def test_frames_of_one_size_match_one_at_a_time(self, n, kind):
+        # one stacked table for the three times, equal to three separate F
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            st_ = init_state(n, kind)
+        frames = evolve_series(st_, ModelParams(n, 0.0, 0.75, "open"), 1.5, (4, 5, 6))
+        assert witness_qfis(frames) == [witness_qfi(f) for f in frames]
 
 
 class TestCostEnvelope:

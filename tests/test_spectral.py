@@ -201,6 +201,10 @@ class TestModelParams:
         with pytest.raises(ValueError, match="gamma must be >= 0"):
             ModelParams(4, 0.3, float("nan"))
 
+    def test_rejects_nan_field(self):
+        with pytest.raises(ValueError, match="h must be a number"):
+            ModelParams(4, float("nan"), 1.0)
+
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
             ModelParams(8, 0.0, 1.0, "twisted")
