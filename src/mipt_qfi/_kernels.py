@@ -46,20 +46,23 @@ step only stores its update x y^T - y x^T as vector pairs (x, y), one
 for a 2x2 step and two for a 4x4 step, and the later steps of the panel
 add the pending pairs to the few rows they read.  At the panel's end one
 GEMM per row applies the pairs to the row's trailing block, which then
-moves down to the next panel's coordinates.  Rows in flight each hold a
-trailing block, so the rows are taken in groups whose blocks and pairs
-fit in FLIGHT_COPIES copies of M0 (one group up to N = 64); a later
-group starts at its first row's position.
+moves down to the next panel's coordinates.
 
-`xx_table` also takes a stack of K matrices of one size, such as the
-frames of one witness series at its three times.  Row i of every matrix
-joins at position 2i, so the K tables share the loop over positions:
-the rows go row index first and matrix second, and each keeps its own
-branch, scale and pivoted fallback, so every table is bit-identical to
-that of its matrix alone.  The rows in flight of a stack may hold
-max(FLIGHT_COPIES copies of M0, FLIGHT_FLOOR), and a stack that does not
-fit one row group is split by whole matrices, never by rows: three
-tables at N <= 32, two and one at N = 48, one at a time from N = 64 on.
+`xx_table` takes a stack of K matrices of one size, such as the frames
+of one witness series at its three times, and gives their K tables.
+Row i of every matrix joins at position 2i, so the tables share the
+loop over positions: the rows go row index first and matrix second, and
+each keeps its own branch, scale and pivoted fallback, so every table is
+bit-identical to that of its matrix alone.
+
+Memory follows one rule.  The footprint of rows in flight is what
+`_eliminate` allocates for them, the most that one panel's trailing
+blocks and pending pairs take together, and it may not pass the cap,
+max(FLIGHT_COPIES copies of M0, FLIGHT_FLOOR).  The stack goes in groups
+of as many whole matrices as fit the cap (three at N <= 42, two and one
+at N = 44 .. 50, one at a time from N = 52 on), and a matrix too large
+for the cap alone goes in groups of rows that fit it (one group up to
+N = 72); a later row group starts at its first row's position.
 """
 
 from __future__ import annotations
@@ -86,13 +89,13 @@ PANEL = 8
 # of the complex 2N x 2N kernel), so the table needs no more memory than the
 # evolution before it.  At 17 the table's tracemalloc peak is at most 0.94
 # of evolve's at N = 16 .. 256 (0.89 at N = 64; 18 reads up to 0.98 and 19
-# up to 1.04, at N = 128), and tables up to N = 64 are one group: N - 1
+# up to 1.04, at N = 128), and tables up to N = 72 are one group: N - 1
 # positions, where two groups take more.
 FLIGHT_COPIES = 17
 
 # Floats that the rows in flight may hold however small M0 is: what one
 # N = 64 table holds at FLIGHT_COPIES.  Below that size a stack of tables
-# is eliminated together (three at N <= 32, two at N = 48), which saves
+# is eliminated together (three at N <= 42, two at N = 44 .. 50), which saves
 # the per-position numpy overhead of separate tables; a cap per matrix
 # instead raised the witness benchmark's peak RSS by 11%.
 FLIGHT_FLOOR = FLIGHT_COPIES * 126**2
@@ -189,43 +192,6 @@ def pfaffian(a: np.ndarray) -> float | complex:
     return complex(pf) if np.iscomplexobj(a) else float(pf)
 
 
-def _nested_pfaffians(m0: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
-    """P[k, i, q] = Pf(m0[k, 2i:2q+2, 2i:2q+2]) for i <= q < m0.shape[1] / 2.
-
-    Row i of matrix k is the elimination of m0[k, 2i:, 2i:].  The matrices
-    go through `_eliminate` in groups of as many whole tables as fit the
-    cap, max(FLIGHT_COPIES copies of one matrix, FLIGHT_FLOOR); a matrix
-    too large for one group goes alone, its rows in groups that fit the
-    cap.  Also returns the branch counts summed over the rows.
-    """
-    tables, n = m0.shape[:2]
-    n_rows = n // 2
-    parts = []
-    steps = {"2x2": 0, "4x4": 0, "pivoted": 0}
-    # scale[k, i] = max |m0[k, 2i:, 2i:]|: |m0[k]| is symmetric, so this
-    # is a suffix maximum of the row maxima of its upper triangle
-    rowmax = np.max(np.triu(np.abs(m0)), axis=2, initial=0.0)
-    scale = np.maximum.accumulate(rowmax[:, ::-1], axis=1)[:, ::-1][:, : 2 * n_rows : 2]
-    cap = max(FLIGHT_COPIES * n * n, FLIGHT_FLOOR)
-    per = max(1, cap // max(1, _footprint(n, n_rows)[0]))
-    for k in range(0, tables, per):
-        group = m0[k : k + per]
-        count = len(group)
-        # row i of matrix k + j is row i * count + j, so that the rows
-        # that join at one position are contiguous
-        flat = np.zeros((n_rows * count, n_rows))
-        flat_scale = scale[k : k + per].T.ravel()
-        first = 0
-        while first < n_rows:
-            c = 2 * first
-            rows = _rows_in_flight(n - c, n_rows - first, cap // count)
-            lo, hi = first * count, (first + rows) * count
-            _eliminate(group[:, c:, c:], flat[lo:hi, first:], flat_scale[lo:hi], steps)
-            first += rows
-        parts.append(flat.reshape(n_rows, count, n_rows).swapaxes(0, 1))
-    return np.concatenate(parts), steps
-
-
 def _panels(m: int, rows: int) -> Iterator[tuple[int, int, int, int]]:
     """(start, stop, joined, width) of each panel of `rows` rows on m x m.
 
@@ -238,19 +204,16 @@ def _panels(m: int, rows: int) -> Iterator[tuple[int, int, int, int]]:
         yield start, stop, min(rows, stop // 2), stop - start + 2 * (stop < m)
 
 
-def _footprint(m: int, rows: int) -> tuple[int, int]:
-    """Floats of `rows` rows eliminated on m x m: (charged, held).
+def _footprint(m: int, rows: int) -> int:
+    """Floats that `_eliminate` allocates for `rows` rows on m x m.
 
-    charged, the largest stack plus the largest panel's pairs, counts
-    against the caps; held, the most that one panel's stack and pairs
-    take together, is what the rows allocate, in one buffer with the
-    stack at its bottom and the pairs at its top.
+    The most that one panel's stack and pairs take together: they share
+    one buffer, the stack at its bottom and the pairs at its top.
     """
-    stack = pairs = held = 0
+    held = 0
     for start, _, joined, width in _panels(m, rows):
-        s, p = joined * (m - start) ** 2, joined * width * (m - start)
-        stack, pairs, held = max(stack, s), max(pairs, p), max(held, s + p)
-    return stack + pairs, held
+        held = max(held, joined * (m - start) * (m - start + width))
+    return held
 
 
 def _rows_in_flight(m: int, rows: int, cap: int) -> int:
@@ -258,7 +221,7 @@ def _rows_in_flight(m: int, rows: int, cap: int) -> int:
     lo, hi = 1, rows
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _footprint(m, mid)[0] <= cap:
+        if _footprint(m, mid) <= cap:
             lo = mid
         else:
             hi = mid - 1
@@ -281,7 +244,7 @@ def _eliminate(a: np.ndarray, out: np.ndarray, scale: np.ndarray, steps: dict[st
     """
     tables, m = a.shape[:2]
     rows = out.shape[0]
-    buf = np.empty(tables * _footprint(m, rows // tables)[1])
+    buf = np.empty(tables * _footprint(m, rows // tables))
     s = buf[:0].reshape(0, m, m)
     xy = buf[:0].reshape(0, 0, m)
     pf = np.ones(rows)
@@ -400,27 +363,52 @@ def _with_pairs(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def xx_table(gamma: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarray:
-    """Upper-triangular (N, N) tables of <x_i x_j> from real Majorana matrices Gamma.
+    """Upper-triangular tables (K, N, N) of <x_i x_j> from Majorana matrices (K, 2N, 2N).
 
-    gamma is one (2N, 2N) matrix, which gives one (N, N) table, or a
-    stack (K, 2N, 2N), which gives (K, N, N), each table equal to that of
-    its matrix alone.  <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i.  If
-    steps is given, each branch's step count over the tables ("2x2",
-    "4x4", "pivoted") is added to it.  Raises NumericalFault when Gamma is
-    not finite.
+    <x_i x_j> = (-1)^d Pf(Gamma_block), d = j - i, each table equal to
+    that of its matrix alone; the module docstring gives the groups in
+    which the matrices and rows are eliminated.  If steps is given, each
+    branch's step count over the tables ("2x2", "4x4", "pivoted") is
+    added to it.  Raises ValueError unless gamma is a stack of square
+    matrices, and NumericalFault when it is not finite.
     """
+    if gamma.ndim != 3 or gamma.shape[1] != gamma.shape[2]:
+        raise ValueError(f"expected a stack of Majorana matrices (K, 2N, 2N), got shape {gamma.shape}")
     if not np.all(np.isfinite(gamma)):
         raise NumericalFault("Majorana matrix has non-finite entries")
-    n = gamma.shape[-1] // 2
-    stack = gamma.reshape(-1, 2 * n, 2 * n)
-    pf, counts = _nested_pfaffians(stack[:, 1 : 2 * n - 1, 1 : 2 * n - 1])
-    if steps is not None:
-        for key, value in counts.items():
-            steps[key] = steps.get(key, 0) + value
-    d = np.arange(1, n) - np.arange(n - 1)[:, None]  # d = j - i of pf[:, i, j - 1]
-    out = np.zeros((len(stack), n, n))
-    out[:, : n - 1, 1:] = np.triu(np.where(d % 2, -pf, pf))
-    return out.reshape(gamma.shape[:-2] + (n, n))
+    tables, n = len(gamma), gamma.shape[2] // 2
+    m0 = gamma[:, 1 : 2 * n - 1, 1 : 2 * n - 1]
+    m, rows = 2 * n - 2, n - 1
+    steps = {} if steps is None else steps
+    for key in ("2x2", "4x4", "pivoted"):
+        steps.setdefault(key, 0)
+    # scale[k, i] = max |m0[k, 2i:, 2i:]|: |m0[k]| is symmetric, so this
+    # is a suffix maximum of the row maxima of its upper triangle
+    rowmax = np.max(np.triu(np.abs(m0)), axis=2, initial=0.0)
+    scale = np.maximum.accumulate(rowmax[:, ::-1], axis=1)[:, ::-1][:, : 2 * rows : 2]
+    cap = max(FLIGHT_COPIES * m * m, FLIGHT_FLOOR)
+    per = max(1, cap // max(1, _footprint(m, rows)))
+    parts = []
+    for k in range(0, tables, per):
+        group = m0[k : k + per]
+        count = len(group)
+        # row i of matrix k + j is row i * count + j, so that the rows
+        # that join at one position are contiguous
+        flat = np.zeros((rows * count, rows))
+        flat_scale = scale[k : k + per].T.ravel()
+        first = 0
+        while first < rows:
+            c = 2 * first
+            span = _rows_in_flight(m - c, rows - first, cap // count)
+            lo, hi = first * count, (first + span) * count
+            _eliminate(group[:, c:, c:], flat[lo:hi, first:], flat_scale[lo:hi], steps)
+            first += span
+        parts.append(flat.reshape(rows, count, rows).swapaxes(0, 1))
+    pf = np.concatenate(parts)  # pf[k, i, q] = Pf(m0[k, 2i:2q+2, 2i:2q+2])
+    d = np.arange(1, n) - np.arange(rows)[:, None]  # d = j - i of pf[:, i, j - 1]
+    out = np.zeros((tables, n, n))
+    out[:, :rows, 1:] = np.triu(np.where(d % 2, -pf, pf))
+    return out
 
 
 def backend_name() -> str:

@@ -35,6 +35,11 @@ class FitResult:
         }
 
 
+def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("fit needs finite data")
+
+
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -47,6 +52,7 @@ def fit_power_law(xs, ys) -> FitResult:
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3:
         raise ValueError(f"need at least 3 points, got {xs.size}")
+    _check_finite(xs, ys)
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("power-law fit needs strictly positive data")
     slope, intercept, resid = _line_fit(np.log(xs), np.log(ys))
@@ -62,6 +68,7 @@ def fit_exponential_rate(ts, fs) -> FitResult:
     fs = np.asarray(fs, dtype=float)
     if ts.size < 3:
         raise ValueError(f"need at least 3 points, got {ts.size}")
+    _check_finite(ts, fs)
     if np.any(fs <= 0):
         raise ValueError("exponential fit needs strictly positive data")
     slope, intercept, resid = _line_fit(ts, np.log(fs))

@@ -262,8 +262,11 @@ def critical_mode_coefficient(h: float, gamma: float) -> float:
     coefficient scales as (gamma_c - gamma)^{-2}.  Both are evaluated on
     the quench initial state, which at k_c is (1, -1)/sqrt(2).  Diverges
     at gamma = gamma_c exactly; a non-finite value (gamma so large that
-    eps^3 or alpha^2 overflows) raises NumericalFault.
+    eps^3 or alpha^2 overflows) raises NumericalFault.  Raises ValueError
+    for a negative or NaN rate, as ModelParams does.
     """
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     gc = critical_gamma(h)
     if gamma == gc:
         raise ValueError("coefficient diverges exactly at gamma_c")

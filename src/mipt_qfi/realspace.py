@@ -259,22 +259,19 @@ def witness_qfis(states: Sequence[GaussianState]) -> list[float]:
     table raises NumericalFault.
     """
     n = states[0].n_sites
-    if len(states) == 1:
-        gamma = majorana_correlations(states[0])
-    else:
-        gamma = np.empty((len(states), 2 * n, 2 * n))
-        for k, state in enumerate(states):
-            gamma[k] = majorana_correlations(state)
+    gamma = np.empty((len(states), 2 * n, 2 * n))
+    for k, state in enumerate(states):
+        gamma[k] = majorana_correlations(state)
     table = xx_table(gamma)
     if not np.all(np.isfinite(table)):
         raise NumericalFault("witness string table is not finite")
-    return [n + 2.0 * float(np.sum(t)) for t in table.reshape(-1, n, n)]
+    return [n + 2.0 * float(np.sum(t)) for t in table]
 
 
 def entanglement_depth(F: float, n_sites: int) -> int:
     """Certified depth: largest m + 1 with F/N > m, at least 1, at most N."""
-    if F < 0:
-        raise ValueError(f"QFI must be >= 0, got {F}")
+    if not 0 <= F < math.inf:
+        raise ValueError(f"QFI F must be finite and >= 0, got {F}")
     ratio = F / n_sites
     m = max(0, math.ceil(ratio - 1.0 - 1e-12))
     return min(m, n_sites - 1) + 1

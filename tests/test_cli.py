@@ -323,7 +323,7 @@ class TestCliContract:
     def test_nan_string_table_exits_with_numerical_fault(self, tmp_path, monkeypatch):
         from mipt_qfi import realspace
 
-        monkeypatch.setattr(realspace, "xx_table", lambda g: np.full((g.shape[0] // 2,) * 2, np.nan))
+        monkeypatch.setattr(realspace, "xx_table", lambda g: np.full((len(g),) + (g.shape[1] // 2,) * 2, np.nan))
         cfg = write_config(tmp_path / "c.json", WITNESS)
         result = CliRunner().invoke(main, ["witness-scaling", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 4, result.output

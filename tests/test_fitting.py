@@ -37,6 +37,15 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rejects_non_finite_data(self, bad, axis):
+        # a NaN abscissa used to reach LAPACK, and a bad ordinate a NaN fit
+        xs, ys = [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 3.0, 4.0]
+        (xs if axis == "x" else ys)[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(xs, ys)
+
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
         st.floats(min_value=0.1, max_value=10.0),
@@ -75,6 +84,14 @@ class TestExponentialRate:
             fit_exponential_rate(ts, -np.exp(ts))
         with pytest.raises(ValueError):
             fit_exponential_rate([0.0, 1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["t", "f"])
+    def test_rejects_non_finite_data(self, bad, axis):
+        ts, fs = [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 4.0, 8.0]
+        (ts if axis == "t" else fs)[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponential_rate(ts, fs)
 
 
 class TestStableWindow:

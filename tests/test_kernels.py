@@ -121,7 +121,7 @@ def row_by_row_table(gamma):
 
 def table_steps(gamma):
     steps = {}
-    table = _kernels.xx_table(gamma, steps)
+    table = _kernels.xx_table(gamma[None], steps)[0]
     return table, steps
 
 
@@ -135,12 +135,12 @@ class TestNestedStringTable:
     @pytest.mark.parametrize("kind,gamma,t", STATES)
     def test_matches_pairwise_pivoted_pfaffians(self, n, kind, gamma, t):
         g = majorana_matrix(n, kind, gamma, t)
-        np.testing.assert_allclose(_kernels.xx_table(g), pairwise_table(g), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_kernels.xx_table(g[None])[0], pairwise_table(g), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "n,kind,gamma,t",
         [(n, *state) for n in (8, 16, 32) for state in STATES]
-        + [(n, "hermitian-ground", 0.75, 7.5) for n in (48, 64, 128)],
+        + [(n, "hermitian-ground", 0.75, 7.5) for n in (48, 64, 72, 128)],
     )
     def test_matches_row_by_row_elimination(self, n, kind, gamma, t):
         # the batched kernel takes the same branches as one elimination per row
@@ -149,6 +149,21 @@ class TestNestedStringTable:
         ref, ref_steps = row_by_row_table(g)
         np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
         assert steps == ref_steps
+
+    def test_one_row_group_matches_pairwise_pfaffians(self):
+        # at N = 72 all 71 rows of the table are in flight at once
+        g = majorana_matrix(72, "hermitian-ground", 0.75, 7.5)
+        np.testing.assert_allclose(table_steps(g)[0], pairwise_table(g), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,groups", [
+        (64, [63]), (72, [71]), (80, [23, 56]), (96, [22, 73]), (128, [20, 107]),
+    ])
+    def test_row_groups_of_one_table(self, n, groups, monkeypatch):
+        # the rows in flight at once fit FLIGHT_COPIES copies of M0
+        seen = []
+        monkeypatch.setattr(_kernels, "_eliminate", lambda a, out, scale, steps: seen.append(len(out)))
+        _kernels.xx_table(np.zeros((1, 2 * n, 2 * n)))
+        assert seen == groups
 
     def test_ghz_start_reaches_the_ceiling_by_2x2_steps(self):
         g = majorana_matrix(16, "hermitian-ground", 0.75, 0.0)
@@ -182,8 +197,8 @@ class TestNestedStringTable:
     def test_steps_accumulate_across_calls(self):
         g = majorana_matrix(8, "hermitian-ground", 0.75, 0.0)
         steps = {}
-        _kernels.xx_table(g, steps)
-        _kernels.xx_table(g, steps)
+        _kernels.xx_table(g[None], steps)
+        _kernels.xx_table(g[None], steps)
         assert steps == {"2x2": 2 * 7 * 8 // 2, "4x4": 0, "pivoted": 0}
 
 
@@ -286,7 +301,7 @@ def stacked_and_single(gammas):
     """xx_table of the stack and of each matrix alone, with their branch counts."""
     stacked, single = {}, {}
     table = _kernels.xx_table(gammas, stacked)
-    tables = np.stack([_kernels.xx_table(g, single) for g in gammas])
+    tables = np.stack([_kernels.xx_table(g[None], single)[0] for g in gammas])
     return table, stacked, tables, single
 
 
@@ -303,8 +318,12 @@ class TestStackedStringTable:
     @pytest.mark.parametrize("n,kind,groups", [
         (16, "hermitian-ground", [3]),
         (32, "vacuum", [3]),
+        (42, "hermitian-ground", [3]),
+        (42, "vacuum", [3]),
         (48, "hermitian-ground", [2, 1]),
         (48, "vacuum", [2, 1]),
+        (50, "hermitian-ground", [2, 1]),
+        (50, "vacuum", [2, 1]),
         (64, "hermitian-ground", [1, 1, 1]),
         (64, "vacuum", [1, 1, 1]),
     ])
@@ -336,9 +355,10 @@ class TestStackedStringTable:
         assert stacked == single and stacked["pivoted"] == TABLE_SITES - 1 - MID - 2
         np.testing.assert_allclose(table[1], pairwise_table(gammas[1]), rtol=1e-10, atol=1e-15)
 
-    def test_two_dimensional_input_is_a_stack_of_one(self):
+    def test_rejects_a_single_matrix(self):
         g = majorana_matrix(8, "vacuum", 0.75, 2.0)
-        np.testing.assert_array_equal(_kernels.xx_table(g[None])[0], _kernels.xx_table(g))
+        with pytest.raises(ValueError, match="stack"):
+            _kernels.xx_table(g)
 
 
 def traced_peak(f, *args):
@@ -363,7 +383,7 @@ class TestStringTableMemory:
             state = init_state(n, "hermitian-ground")
         params = ModelParams(n, 0.0, 0.75, "open")
         evolve_peak, state = traced_peak(evolve, state, params, 0.05, 150)
-        table_peak, _ = traced_peak(_kernels.xx_table, majorana_correlations(state))
+        table_peak, _ = traced_peak(_kernels.xx_table, majorana_correlations(state)[None])
         assert table_peak <= evolve_peak
 
     @pytest.mark.parametrize("n", [16, 32, 48, 64])
@@ -399,7 +419,7 @@ class TestMajoranaMatrixChecks:
         g = majorana_matrix(8, "vacuum", 0.75, 1.0)
         g[3, 4], g[4, 3] = np.nan, np.nan
         with pytest.raises(NumericalFault, match="non-finite"):
-            _kernels.xx_table(g)
+            _kernels.xx_table(g[None])
 
 
 def rel_dev(a, ref):

@@ -376,6 +376,14 @@ class TestCriticalModeCoefficient:
         with pytest.raises(ValueError):
             critical_mode_coefficient(0.6, critical_gamma(0.6))
 
+    @pytest.mark.parametrize("gamma", [-1.0, -1e-300, np.nan, -np.inf])
+    def test_rejects_negative_or_nan_rate(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            critical_mode_coefficient(0.6, gamma)
+
+    def test_zero_rate_is_valid(self):
+        assert np.isfinite(critical_mode_coefficient(0.6, 0.0))
+
     def test_overflow_raises(self):
         # alpha^2 overflows; the coefficient used to come back as nan
         with pytest.raises(NumericalFault, match="not finite"):

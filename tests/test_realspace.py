@@ -569,9 +569,10 @@ class TestEntanglementDepth:
     def test_integer_ratio_boundary(self):
         assert entanglement_depth(2.0 * 16, 16) == 2
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            entanglement_depth(-1.0, 8)
+    @pytest.mark.parametrize("f", [-1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_or_non_finite(self, f):
+        with pytest.raises(ValueError, match="QFI F must be finite"):
+            entanglement_depth(f, 8)
 
     @given(st.floats(min_value=0.0, max_value=1e4), st.integers(min_value=2, max_value=64).map(lambda x: 2 * x))
     @settings(max_examples=60, deadline=None)
