@@ -369,11 +369,12 @@ def xx_table(gamma: np.ndarray, steps: dict[str, int] | None = None) -> np.ndarr
     that of its matrix alone; the module docstring gives the groups in
     which the matrices and rows are eliminated.  If steps is given, each
     branch's step count over the tables ("2x2", "4x4", "pivoted") is
-    added to it.  Raises ValueError unless gamma is a stack of square
-    matrices, and NumericalFault when it is not finite.
+    added to it.  Raises ValueError unless gamma is a non-empty stack of
+    square matrices of one even, nonzero dimension, and NumericalFault
+    when it is not finite.
     """
-    if gamma.ndim != 3 or gamma.shape[1] != gamma.shape[2]:
-        raise ValueError(f"expected a stack of Majorana matrices (K, 2N, 2N), got shape {gamma.shape}")
+    if gamma.ndim != 3 or 0 in gamma.shape or gamma.shape[1] != gamma.shape[2] or gamma.shape[2] % 2:
+        raise ValueError(f"expected a non-empty stack of Majorana matrices (K, 2N, 2N), got shape {gamma.shape}")
     if not np.all(np.isfinite(gamma)):
         raise NumericalFault("Majorana matrix has non-finite entries")
     tables, n = len(gamma), gamma.shape[2] // 2

@@ -1,14 +1,13 @@
 """Command-line entry point: mipt-qfi <experiment> --config FILE [--out DIR].
 
-Exit codes: 0 success, 2 invalid config, 3 a cross-check exceeded its
-tolerance, 4 numerical fault.
+Exit codes: 0 success, 2 invalid config or usage, 3 a cross-check exceeded
+its tolerance, 4 numerical fault.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-
-import click
 
 from .errors import ConfigError, NumericalFault, ToleranceFailure
 from .experiments import EXPERIMENTS, load_config, run_experiment
@@ -33,35 +32,28 @@ def _execute(experiment: str, config_path: str, out: str | None) -> None:
                 )
         result = run_experiment(config, out_dir=out)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
     except ToleranceFailure as exc:
-        click.echo(f"tolerance failure: {exc}", err=True)
+        print(f"tolerance failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_TOLERANCE)
     except NumericalFault as exc:
-        click.echo(f"numerical fault: {exc}", err=True)
+        print(f"numerical fault: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL)
-    click.echo(f"wrote {result.csv_path} and {result.json_path}")
+    print(f"wrote {result.csv_path} and {result.json_path}")
 
 
-@click.group()
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     """Monitored Ising chain QFI experiments."""
-
-
-def _register(name: str) -> None:
-    @main.command(name=name)
-    @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
-    @click.option("--out", default=None, type=click.Path(), help="output directory")
-    def _cmd(config_path: str, out: str | None) -> None:
-        _execute(name, config_path, out)
-
-    _cmd.__doc__ = f"Run the {name} experiment."
-
-
-for _name in EXPERIMENTS:
-    _register(_name)
+    parser = argparse.ArgumentParser(prog="mipt-qfi", description=main.__doc__)
+    commands = parser.add_subparsers(dest="experiment", metavar="EXPERIMENT", required=True)
+    for name in EXPERIMENTS:
+        command = commands.add_parser(name, help=f"Run the {name} experiment.", allow_abbrev=False)
+        command.add_argument("--config", required=True, metavar="FILE", help="JSON config file")
+        command.add_argument("--out", metavar="DIR", help="output directory")
+    args = parser.parse_args(argv)
+    _execute(args.experiment, args.config, args.out)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

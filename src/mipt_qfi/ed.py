@@ -289,11 +289,11 @@ def dense_ground_state(params: ModelParams) -> tuple[DenseState, float]:
 def evolve_dense(params: ModelParams, t: float, initial: DenseState) -> DenseState:
     """Normalized exp(-i H_eff t) |initial>, one occupied parity sector at a time.
 
-    Raises ValueError for t < 0 (or NaN), and NumericalFault naming t when
-    the state loses its norm or the exponential overflows.
+    Raises ValueError for t < 0, infinite or NaN, and NumericalFault
+    naming t when the state loses its norm or the exponential overflows.
     """
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
     sectors = _sector_bases(params, initial)
     rate = _decay_rate(params, t, [block for _, _, block in sectors])
     psi = np.zeros(2**params.n_sites, dtype=complex)
@@ -348,12 +348,12 @@ def qfi_frechet(params: ModelParams, t: float, initial: DenseState) -> float:
     du = dpsi/|psi| - u Re<u, dpsi/|psi|> with u = psi/|psi|, keeps the
     decay of the norm out of the final difference, and
     F = 4 (|du|^2 - |<u, du>|^2).  Shifting X by a real multiple of the
-    identity scales both blocks alike.  Raises ValueError for t < 0, and
-    NumericalFault naming t when the state loses its norm or the
-    exponential overflows.
+    identity scales both blocks alike.  Raises ValueError for t < 0 or
+    infinite, and NumericalFault naming t when the state loses its norm
+    or the exponential overflows.
     """
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
     sectors = _sector_bases(params, initial)
     rate = _decay_rate(params, t, [h_eff for _, _, h_eff in sectors])
     psi, dpsi = [], []
@@ -379,7 +379,7 @@ def qfi_finite_difference(params: ModelParams, t: float, initial: DenseState) ->
     The steps are FD_STEP and FD_STEP / 2.  The state is normalized before
     differentiating; for non-unitary evolution differentiating the raw
     exponential would give the QFI of the wrong (unphysical) family.
-    Raises ValueError for t < 0, through `evolve_dense`.
+    Raises ValueError for t < 0 or infinite, through `evolve_dense`.
     """
     psi = evolve_dense(params, t, initial).amplitudes
     estimates = []
@@ -420,14 +420,14 @@ def o_covariance_qfi(
     A scalar t is the same code on a 0-d array and returns a float; an
     array returns an array of its shape.  At gamma = 0 the blocks are
     real symmetric and `eigh` gives an orthogonal eigenbasis.  Raises
-    ValueError for a negative time, and NumericalFault when an eigenbasis
-    is ill-conditioned, or, at the first time where it happens, when the
-    state loses its norm or F is not finite.
+    ValueError for a negative or infinite time, and NumericalFault when an
+    eigenbasis is ill-conditioned, or, at the first time where it happens,
+    when the state loses its norm or F is not finite.
     """
     n = params.n_sites
     times = np.asarray(t, dtype=float)
-    if not np.all(times >= 0):
-        raise ValueError(f"times must be >= 0, got {t}")
+    if not np.all((times >= 0) & (times < np.inf)):
+        raise ValueError(f"times must be >= 0 and finite, got {t}")
 
     sectors = []
     for orbits, coeffs, block in _sector_bases(params, initial):

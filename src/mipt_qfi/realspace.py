@@ -258,20 +258,18 @@ def witness_qfis(states: Sequence[GaussianState]) -> list[float]:
     positions; it checks that the matrices are finite, and a non-finite
     table raises NumericalFault.
     """
-    n = states[0].n_sites
-    gamma = np.empty((len(states), 2 * n, 2 * n))
-    for k, state in enumerate(states):
-        gamma[k] = majorana_correlations(state)
-    table = xx_table(gamma)
+    table = xx_table(np.array([majorana_correlations(state) for state in states]))
     if not np.all(np.isfinite(table)):
         raise NumericalFault("witness string table is not finite")
-    return [n + 2.0 * float(np.sum(t)) for t in table]
+    return [len(t) + 2.0 * float(np.sum(t)) for t in table]
 
 
 def entanglement_depth(F: float, n_sites: int) -> int:
     """Certified depth: largest m + 1 with F/N > m, at least 1, at most N."""
     if not 0 <= F < math.inf:
         raise ValueError(f"QFI F must be finite and >= 0, got {F}")
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
     ratio = F / n_sites
     m = max(0, math.ceil(ratio - 1.0 - 1e-12))
     return min(m, n_sites - 1) + 1

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import mipt_qfi
 from mipt_qfi import ed, experiments
@@ -20,6 +21,17 @@ from mipt_qfi.spectral import ModelParams, critical_gamma, spectrum_table
 def write_config(path: Path, payload) -> str:
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_cli(args: list[str]) -> tuple[int, str]:
+    """Exit code and combined stdout and stderr of `mipt-qfi ARGS`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+    return 0, out.getvalue()
 
 
 def read_masked_json(path: Path) -> dict:
@@ -166,9 +178,9 @@ class TestConfigValidation:
         # json writes and reads the NaN / Infinity literals, and integers of
         # any size, whose float would be infinite
         cfg = write_config(tmp_path / "c.json", payload)
-        result = CliRunner().invoke(main, [payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert f"'{field}'" in result.output
+        code, output = run_cli([payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, output
+        assert f"'{field}'" in output
 
     @pytest.mark.parametrize("field", ["quench_sizes", "witness_sizes"])
     def test_oracle_sizes_stop_at_the_dense_cap(self, field):
@@ -183,16 +195,16 @@ class TestConfigValidation:
         # state's even sector has 122 orbits
         params = {"quench_sizes": [size], "witness_sizes": []}
         cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == code, result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == code, output
 
     @pytest.mark.parametrize("name", [e for e in experiments.EXPERIMENTS if e != "oracle-check"])
     def test_missing_params_is_a_config_error(self, tmp_path, name):
         # every runner but oracle-check reads required params
         cfg = write_config(tmp_path / "c.json", {"experiment": name})
-        result = CliRunner().invoke(main, [name, "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "'params' is a required property" in result.output
+        code, output = run_cli([name, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, output
+        assert "'params' is a required property" in output
 
     @pytest.mark.parametrize(
         "payload,field",
@@ -209,51 +221,49 @@ class TestConfigValidation:
     def test_integral_floats_rejected(self, tmp_path, payload, field):
         # 8.0 is no integer: the runners cannot use it as a size
         cfg = write_config(tmp_path / "c.json", payload)
-        result = CliRunner().invoke(main, [payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert f"'{field}" in result.output and "is not of type 'integer'" in result.output
+        code, output = run_cli([payload["experiment"], "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, output
+        assert f"'{field}" in output and "is not of type 'integer'" in output
 
     @pytest.mark.parametrize("field", ["quench_sizes", "witness_sizes"])
     def test_odd_oracle_size_rejected(self, tmp_path, field):
         # the chains are even; an odd size used to end in a ValueError traceback
         cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": {field: [5]}})
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert f"'params/{field}/0'" in result.output and "even" in result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, output
+        assert f"'params/{field}/0'" in output and "even" in output
 
 
 class TestCliContract:
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {**SPECTRUM, "bogus": 1})
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "config error" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in output
 
     @pytest.mark.parametrize("payload", [[], 3, "x", None])
     def test_config_that_is_no_object_is_a_config_error(self, tmp_path, payload):
         cfg = write_config(tmp_path / "c.json", payload)
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert f"config field '<root>': {payload!r} is not of type 'object'" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, output
+        assert f"config field '<root>': {payload!r} is not of type 'object'" in output
 
     def test_subcommand_config_mismatch(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
-        result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2
+        code, output = run_cli(["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
 
     def test_missing_config_file(self, tmp_path):
-        result = CliRunner().invoke(
-            main, ["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
-        )
-        assert result.exit_code == 2
+        code, output = run_cli(["spectrum", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+        assert code == 2
 
     def test_config_that_is_no_utf8_is_a_config_error(self, tmp_path):
         # a UTF-16 byte order mark used to end in a UnicodeDecodeError traceback
         cfg = tmp_path / "c.json"
         cfg.write_bytes(b"\xff\xfe" + json.dumps(SPECTRUM).encode("utf-16-le"))
-        result = CliRunner().invoke(main, ["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "config error" in result.output and "not UTF-8" in result.output
+        code, output = run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2, output
+        assert "config error" in output and "not UTF-8" in output
 
     def test_out_dir_that_cannot_be_made_is_a_config_error(self, tmp_path):
         # a regular file in the path used to end in a NotADirectoryError traceback
@@ -261,18 +271,18 @@ class TestCliContract:
         blocker.write_text("")
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
         out = str(blocker / "x")
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", out])
-        assert result.exit_code == 2, result.output
-        assert f"cannot create output directory {out}" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", out])
+        assert code == 2, output
+        assert f"cannot create output directory {out}" in output
 
     def test_output_path_that_cannot_be_made_is_a_config_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = str(blocker / "x")
         cfg = write_config(tmp_path / "c.json", {**SPECTRUM, "output_path": out})
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg])
-        assert result.exit_code == 2, result.output
-        assert f"cannot create output directory {out}" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg])
+        assert code == 2, output
+        assert f"cannot create output directory {out}" in output
 
     @pytest.mark.parametrize("suffix", ["csv", "json"])
     def test_result_path_that_is_no_file_is_refused_before_the_run(self, tmp_path, monkeypatch, suffix):
@@ -282,9 +292,9 @@ class TestCliContract:
         path = tmp_path / f"spectrum.{suffix}"
         path.mkdir()
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert f"result path {path} exists and is not a writable regular file" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2, output
+        assert f"result path {path} exists and is not a writable regular file" in output
         assert not (tmp_path / "spectrum.csv").is_file()
 
     @pytest.mark.parametrize("target,message", [
@@ -302,9 +312,9 @@ class TestCliContract:
                             lambda path, mode: access(path, mode) and (Path(path), mode) != (locked, os.W_OK))
         monkeypatch.setitem(experiments._RUNNERS, "spectrum", lambda params: pytest.fail("the run started"))
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        assert message.format(locked) in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(out)])
+        assert code == 2, output
+        assert message.format(locked) in output
         assert (out / "spectrum.csv").read_text() == "old\n"
 
     def test_numerical_fault_exit_code(self, tmp_path, monkeypatch):
@@ -316,45 +326,45 @@ class TestCliContract:
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 4
-        assert "numerical fault" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 4
+        assert "numerical fault" in output
 
     def test_nan_string_table_exits_with_numerical_fault(self, tmp_path, monkeypatch):
         from mipt_qfi import realspace
 
         monkeypatch.setattr(realspace, "xx_table", lambda g: np.full((len(g),) + (g.shape[1] // 2,) * 2, np.nan))
         cfg = write_config(tmp_path / "c.json", WITNESS)
-        result = CliRunner().invoke(main, ["witness-scaling", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 4, result.output
-        assert "numerical fault" in result.output
+        code, output = run_cli(["witness-scaling", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 4, output
+        assert "numerical fault" in output
 
     def test_non_finite_quench_qfi_exits_with_numerical_fault(self, tmp_path):
         # past the round-off floor F overflows to inf at t = 100 and nan at t = 200
         params = {"n_sites": 16, "h": 0.3, "gamma": 6.0, "times": [1, 2, 3, 100, 150, 200]}
         cfg = write_config(tmp_path / "c.json", {"experiment": "quench-series", "params": params})
         with np.errstate(all="ignore"):
-            result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 4, result.output
-        assert "numerical fault" in result.output
+            code, output = run_cli(["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 4, output
+        assert "numerical fault" in output
         assert not (tmp_path / "quench-series.csv").exists()
 
     def test_non_finite_spectrum_exits_with_numerical_fault(self, tmp_path):
         # 2 h overflows: the run used to write rows of -inf and exit 0
         params = {"n_sites": 8, "h": 1e308, "gamma": 2.0}
         cfg = write_config(tmp_path / "c.json", {"experiment": "spectrum", "params": params})
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 4, result.output
-        assert "numerical fault" in result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 4, output
+        assert "numerical fault" in output
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_underflowed_quench_qfi_exits_with_numerical_fault(self, tmp_path):
         # F underflows to 0 at t = 1e-170, and the growth-rate fit takes log F
         params = {"n_sites": 8, "h": 0.3, "gamma": 2.0, "times": [1e-170, 1e-160, 1e-150]}
         cfg = write_config(tmp_path / "c.json", {"experiment": "quench-series", "params": params})
-        result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 4, result.output
-        assert "numerical fault" in result.output and "t = 1e-170" in result.output
+        code, output = run_cli(["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 4, output
+        assert "numerical fault" in output and "t = 1e-170" in output
         assert not (tmp_path / "quench-series.csv").exists()
 
     def test_oracle_rate_below_the_difference_step_is_a_config_error(self, tmp_path):
@@ -362,38 +372,48 @@ class TestCliContract:
         # rate that finite differences had to reject now runs and passes
         params = {"quench_sizes": [4], "gammas": [0.0], "witness_sizes": []}
         cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
         checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
         assert len(checks) == 4 and all(c["ok"] for c in checks)
 
     def test_threads_option_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)
-        result = CliRunner().invoke(
-            main, ["quench-series", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]
-        )
-        assert result.exit_code == 2
-        assert "No such option" in result.output and "--threads" in result.output
+        code, output = run_cli(["quench-series", "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
+        assert code == 2
+        assert "unrecognized arguments" in output and "--threads" in output
+
+    @pytest.mark.parametrize("args", [[], ["nope"], ["spectrum"], ["spectrum", "--conf", "c.json"]],
+                             ids=["no-experiment", "unknown-experiment", "no-config", "abbreviated-config"])
+    def test_usage_error_exits_2(self, args):
+        code, output = run_cli(args)
+        assert code == 2, output
+        assert "usage: mipt-qfi" in output
+
+    def test_help_names_every_experiment(self):
+        code, output = run_cli(["--help"])
+        assert code == 0, output
+        assert all(name in output for name in experiments.EXPERIMENTS)
 
     def test_threads_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MIPT_QFI_THREADS", "abc")
         cfg = write_config(tmp_path / "c.json", QUENCH)
-        result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
 
     def test_tolerance_failure_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
             {**ORACLE, "params": {**ORACLE["params"], "tol_quench": 1e-30, "tol_ed": 1e-30}},
         )
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 3
-        assert "tolerance" in result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 3
+        assert "tolerance" in output
 
     def test_spectrum_output_matches_library(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", SPECTRUM)
-        result = CliRunner().invoke(main, ["spectrum", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "k,E,Gamma"
         table = spectrum_table(ModelParams(8, 0.3, 2.0))
@@ -402,8 +422,8 @@ class TestCliContract:
 
     def test_oracle_check_passes_and_reports(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", ORACLE)
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
         summary = json.loads((tmp_path / "oracle-check.json").read_text())
         checks = summary["results"]["checks"]
         assert checks and all(c["ok"] for c in checks)
@@ -429,8 +449,8 @@ class TestCliContract:
         params = {"quench_sizes": [], "witness_sizes": [4], "witness_gammas": [0.75],
                   "witness_times": [0.03, 0.52]}
         cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
         checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
         assert [c["name"] for c in checks] == [
             "witness[N=4,gamma=0.75,t=0.03]", "witness[N=4,gamma=0.75,t=0.52]"
@@ -439,8 +459,8 @@ class TestCliContract:
 
     def test_quench_series_reports_growth_rate(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", QUENCH)
-        result = CliRunner().invoke(main, ["quench-series", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["quench-series", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
         lines = (tmp_path / "quench-series.csv").read_text().splitlines()
         assert lines[0] == "t,F"
         summary = json.loads((tmp_path / "quench-series.json").read_text())
@@ -540,8 +560,8 @@ class TestNoTraceback:
         # eigenvalues and eig returned a singular eigenbasis (cond 1.5e17 at
         # N = 4); the orbit block of the symmetric ground state does not
         cfg = write_config(tmp_path / "c.json", {"experiment": "oracle-check", "params": params})
-        result = CliRunner().invoke(main, ["oracle-check", "--config", cfg, "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        code, output = run_cli(["oracle-check", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0, output
         checks = json.loads((tmp_path / "oracle-check.json").read_text())["results"]["checks"]
         assert checks and all(c["ok"] for c in checks)
         assert max(c["delta"] for c in checks) <= 1e-11
@@ -621,6 +641,22 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(list(tmp_path.glob("*.csv"))) == len(experiments.EXPERIMENTS)
+
+    def test_cli_runs_without_click(self, tmp_path):
+        # the standard library parses the command line: a click that cannot
+        # be imported changes nothing
+        (tmp_path / "click.py").write_text("raise ImportError('click is not installed')\n")
+        src = Path(mipt_qfi.__file__).resolve().parents[1]
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mipt_qfi.cli", "spectrum", "--config", str(SHIPPED_CONFIGS / "spectrum.json"),
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}"},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"wrote {out / 'spectrum.csv'} and ")
+        assert (out / "spectrum.csv").read_bytes() == (Path(__file__).parent / "data" / "spectrum.csv").read_bytes()
 
 
 class TestDeterminism:

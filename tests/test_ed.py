@@ -226,6 +226,8 @@ class TestQfiOracles:
         (qfi_frechet, -1.0), (o_covariance_qfi, -1.0), (o_covariance_qfi, np.array([0.5, -1.0])),
         (evolve_dense, -1.0), (evolve_dense, float("nan")),
         (qfi_finite_difference, -1.0), (qfi_finite_difference, float("nan")),
+        (evolve_dense, float("inf")), (qfi_frechet, float("inf")), (o_covariance_qfi, float("inf")),
+        (o_covariance_qfi, np.array([0.5, float("inf")])), (qfi_finite_difference, float("inf")),
     ])
     def test_negative_time_raises(self, route, t):
         with pytest.raises(ValueError, match="must be >= 0"):

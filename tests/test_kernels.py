@@ -360,6 +360,17 @@ class TestStackedStringTable:
         with pytest.raises(ValueError, match="stack"):
             _kernels.xx_table(g)
 
+    @pytest.mark.parametrize("shape", [(1, 7, 7), (0, 8, 8)], ids=["odd-dimension", "empty-stack"])
+    def test_rejects_an_odd_dimension_or_an_empty_stack(self, shape):
+        # (1, 7, 7) returned a (1, 3, 3) table, and (0, 8, 8) died in np.concatenate
+        with pytest.raises(ValueError, match="non-empty stack"):
+            _kernels.xx_table(np.zeros(shape))
+
+    def test_witness_of_no_frames_is_rejected(self):
+        # it used to raise IndexError on states[0]
+        with pytest.raises(ValueError, match="non-empty stack"):
+            realspace.witness_qfis([])
+
 
 def traced_peak(f, *args):
     """Peak traced memory of f(*args) above what was allocated before, and its result."""

@@ -136,7 +136,7 @@ class TestPfaffian:
         assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-10)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     def test_squares_to_determinant_random(self, half, seed):
         rng = np.random.default_rng(seed)
         n = 2 * half
@@ -574,8 +574,14 @@ class TestEntanglementDepth:
         with pytest.raises(ValueError, match="QFI F must be finite"):
             entanglement_depth(f, 8)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_a_chain_without_sites(self, n):
+        # N = 0 divided by zero, and N = -4 returned a depth of -4
+        with pytest.raises(ValueError, match="n_sites must be >= 1"):
+            entanglement_depth(3.0, n)
+
     @given(st.floats(min_value=0.0, max_value=1e4), st.integers(min_value=2, max_value=64).map(lambda x: 2 * x))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_certified_bound_always_consistent(self, f, n):
         depth = entanglement_depth(f, n)
         m = depth - 1
